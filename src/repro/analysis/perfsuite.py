@@ -199,11 +199,10 @@ def _build_delay_cache(quick: bool):
     program_average_delay(program, instance)  # warm the caches
 
     def cold() -> float:
-        # Reach into the program's private memo tables to reproduce the
-        # pre-cache behaviour exactly: same program, same evaluation,
-        # appearance tables rebuilt from the raw refs every call.
-        program._slots_cache.clear()
-        program._gaps_cache.clear()
+        # Drop the program's private appearance-table memo: same
+        # program, same evaluation, the table re-derived from the packed
+        # grid every call.
+        program._table = None
         return program_average_delay(program, instance)
 
     config = {"pages": instance.n, "channels": channels}

@@ -14,11 +14,11 @@ Entry points:
   (the 3000-request measurement as one ``searchsorted`` call);
 * :class:`AppearanceIndex` / :func:`batch_waits` — the packed
   appearance table behind both, reusable across calls.  Building the
-  index re-reads :meth:`~repro.core.program.BroadcastProgram.
-  appearance_slots` (itself memoised since PR 4), so repeated
-  measurements of the same program — a sweep cell measured under many
-  seeds, or the live service replaying batches of listeners between
-  re-plans — skip the sort-and-pack pass entirely.
+  index reads the program's one memoised
+  :meth:`~repro.core.program.BroadcastProgram.appearance_table`, so
+  repeated measurements of the same program — a sweep cell measured
+  under many seeds, or the live service replaying batches of listeners
+  between re-plans — skip the sort-and-pack pass entirely.
 """
 
 from __future__ import annotations
@@ -28,8 +28,11 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.core.delay import paper_group_delay_batch
-from repro.core.errors import SimulationError
+from repro.core.delay import (
+    page_average_delay_batch,
+    paper_group_delay_batch,
+)
+from repro.core.errors import InvalidInstanceError, SimulationError
 from repro.core.pages import ProblemInstance
 from repro.core.program import BroadcastProgram
 
@@ -50,43 +53,19 @@ def program_delay_vector(
     """Per-page analytic average delay, vectorised.
 
     Exactly equals :func:`repro.core.delay.page_average_delay` for every
-    page (tests assert this).  All pages' appearance lists are packed
-    into one flat array and the cyclic gaps, clamping and per-page
-    reductions happen in a single numpy pass — no per-page Python work
-    beyond collecting the slot lists.
+    page (tests assert this): it is
+    :func:`repro.core.delay.page_average_delay_batch` over the
+    instance's pages, keyed by page id.
     """
-    cycle = program.cycle_length
     pages = list(instance.pages())
-    slot_lists = []
-    for page in pages:
-        slots = program.appearance_slots(page.page_id)
-        if not slots:
-            raise SimulationError(
-                f"page {page.page_id} does not appear in the program"
-            )
-        slot_lists.append(slots)
-
-    counts = np.asarray([len(slots) for slots in slot_lists])
-    flat = np.asarray(
-        [slot for slots in slot_lists for slot in slots],
-        dtype=np.int64,
-    )
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    ends = starts + counts - 1  # index of each page's last appearance
-
-    # gap[j] = next appearance - this one; the last appearance of each
-    # page wraps to its first appearance plus one cycle.
-    next_index = np.arange(flat.size) + 1
-    next_index[ends] = starts
-    gaps = flat[next_index] - flat
-    gaps[ends] += cycle
-
-    expected = np.repeat(
-        np.asarray([page.expected_time for page in pages]), counts
-    )
-    excess = np.maximum(gaps - expected, 0).astype(np.float64)
-    sums = np.add.reduceat(excess * excess, starts)
-    delays = sums / (2 * cycle)
+    try:
+        delays = page_average_delay_batch(
+            program,
+            [page.page_id for page in pages],
+            [page.expected_time for page in pages],
+        )
+    except InvalidInstanceError as exc:
+        raise SimulationError(str(exc)) from None
     return {
         page.page_id: float(delay) for page, delay in zip(pages, delays)
     }
@@ -153,20 +132,16 @@ class AppearanceIndex:
             memo = getattr(program, "_appearance_index_memo", None)
             if memo is not None and memo[0] == program.version:
                 return memo[1]
-            page_ids = sorted(program.page_ids())
-        slot_lists = [program.appearance_slots(pid) for pid in page_ids]
-        counts = np.asarray(
-            [len(slots) for slots in slot_lists], dtype=np.int64
-        )
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        flat = np.asarray(
-            [slot for slots in slot_lists for slot in slots],
-            dtype=np.float64,
-        )
+        table = program.appearance_table()
+        if memoise:
+            ids, slots, offsets = table.page_ids, table.slots, table.offsets
+        else:
+            ids = np.asarray(list(page_ids), dtype=np.int64)
+            slots, offsets = table.take(table.rows_of(ids), table.slots)
         index = cls(
             cycle_length=program.cycle_length,
-            page_ids=np.asarray(list(page_ids), dtype=np.int64),
-            slots=flat,
+            page_ids=ids,
+            slots=slots.astype(np.float64),
             offsets=offsets,
         )
         if memoise:

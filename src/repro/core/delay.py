@@ -125,22 +125,20 @@ def _packed_cyclic_gaps(
     trailing entry equal to ``gaps.size`` so rows are
     ``gaps[starts[i]:starts[i + 1]]``.  Gap counts equal appearance
     counts, which are always >= 1 for broadcast pages; a page with no
-    appearances raises, matching the scalar models' division semantics.
+    appearances raises like :meth:`BroadcastProgram.cyclic_gaps`.
     """
-    gap_lists = []
-    for page_id in page_ids:
-        gaps = program.cyclic_gaps(page_id)
-        if not gaps:
-            raise SimulationError(
-                f"page {page_id} does not appear in the program"
-            )
-        gap_lists.append(gaps)
-    counts = np.asarray([len(gaps) for gaps in gap_lists], dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    flat = np.asarray(
-        [gap for gaps in gap_lists for gap in gaps], dtype=np.int64
-    )
-    return flat, starts
+    table = program.appearance_table()
+    ids = np.asarray(page_ids, dtype=np.int64)
+    if np.array_equal(ids, table.page_ids):
+        return table.gaps, table.offsets  # every page, in table order
+    rows = table.rows_of(ids)
+    missing = np.flatnonzero(rows < 0)
+    if missing.size:
+        absent = page_ids[int(missing[0])]
+        raise InvalidInstanceError(
+            f"page {absent} does not appear in the program"
+        )
+    return table.take(rows, table.gaps)
 
 
 def page_average_delay_batch(
@@ -235,11 +233,19 @@ def program_average_delay(
     :mod:`repro.workload.requests`) for the EXT3 extension.
     """
     probabilities = _resolve_probabilities(instance, access_probabilities)
-    return sum(
-        probabilities[page.page_id]
-        * page_average_delay(program, page.page_id, page.expected_time)
-        for page in instance.pages()
+    pages = list(instance.pages())
+    ids = [page.page_id for page in pages]
+    delays = page_average_delay_batch(
+        program, ids, [page.expected_time for page in pages]
     )
+    weights = np.fromiter(
+        (probabilities[page_id] for page_id in ids), np.float64, len(ids)
+    )
+    # The batch kernel equals page_average_delay page for page, each
+    # product is the same IEEE multiply, and the builtin sum adds them
+    # in the scalar loop's page order: the total is bit-identical to
+    # summing the scalar model page by page.
+    return sum((weights * delays).tolist())
 
 
 def program_average_wait(

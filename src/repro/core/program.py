@@ -9,9 +9,16 @@ Indexing convention: **0-based** channels and slots throughout the code
 (the paper is 1-based; :meth:`BroadcastProgram.render` shows 1-based labels
 so its output can be compared against the paper's Figure 2 directly).
 
-The grid is deliberately a plain list-of-lists rather than a numpy array:
-cells hold optional page ids, programs are small (``N x t_major``), and the
-schedulers probe single cells far more often than they scan rows.
+The program keeps two views of one grid.  A plain list-of-lists serves
+the schedulers, which probe single cells far more often than they scan
+rows.  A packed int64 mirror (``-1`` = free cell) is the single source of
+appearance data: :meth:`BroadcastProgram.appearance_table` derives every
+page's sorted slots, cell counts and cyclic gaps from it in one array
+pass, memoised per :attr:`~BroadcastProgram.version`, and every
+appearance query — the per-page accessors, program validation, the
+vectorised delay kernels and the listener-replay index — reads that one
+derivation.  :meth:`~BroadcastProgram.assign` and
+:meth:`~BroadcastProgram.clear` only write the two grid views.
 """
 
 from __future__ import annotations
@@ -21,9 +28,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.errors import InvalidInstanceError, SlotConflictError
 
-__all__ = ["SlotRef", "BroadcastProgram"]
+__all__ = ["SlotRef", "AppearanceTable", "BroadcastProgram"]
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -39,6 +48,111 @@ class SlotRef:
 
     def __str__(self) -> str:
         return f"(ch={self.channel}, slot={self.slot})"
+
+
+class AppearanceTable:
+    """Every page's appearances in one program version, packed by row.
+
+    Row ``r`` belongs to ``page_ids[r]`` (ascending page id); its sorted,
+    de-duplicated appearance slots are ``slots[offsets[r]:offsets[r+1]]``
+    and ``gaps`` holds the matching cyclic gaps (each slot to the next,
+    the last wrapping to the first plus one cycle).  ``counts[r]`` counts
+    *cells*, so a page on two channels of one column counts twice there
+    but contributes one slot.  All arrays are int64 and read-only.
+    """
+
+    __slots__ = (
+        "page_ids", "offsets", "slots", "counts", "gaps", "rows",
+        "_count_list", "_offset_list", "_slot_list", "_gap_list",
+    )
+
+    def __init__(self, packed: np.ndarray, cycle_length: int) -> None:
+        num_channels = packed.shape[0]
+        # Slot-major cell order, so each page's cells come out sorted by
+        # (slot, channel) once a stable sort groups them by page.
+        cells = packed.T.ravel()
+        where = np.flatnonzero(cells != -1)
+        values = cells[where]
+        order = np.argsort(values, kind="stable")
+        pids = values[order]
+        slots = where[order] // num_channels
+        new_page = np.ones(pids.shape[0], dtype=bool)
+        new_page[1:] = pids[1:] != pids[:-1]
+        keep = new_page.copy()
+        keep[1:] |= slots[1:] != slots[:-1]
+        self.page_ids = pids[new_page]
+        self.counts = np.diff(
+            np.append(np.flatnonzero(new_page), pids.shape[0])
+        )
+        self.slots = slots[keep]
+        self.offsets = np.append(
+            np.flatnonzero(new_page[keep]), self.slots.shape[0]
+        )
+        following = np.arange(1, self.slots.shape[0] + 1)
+        ends = self.offsets[1:] - 1
+        following[ends] = self.offsets[:-1]
+        self.gaps = self.slots[following] - self.slots
+        self.gaps[ends] += cycle_length
+        for array in (
+            self.page_ids, self.counts, self.slots, self.offsets, self.gaps
+        ):
+            array.setflags(write=False)
+        self.rows = {
+            pid: row for row, pid in enumerate(self.page_ids.tolist())
+        }
+        self._count_list = self.counts.tolist()
+        self._offset_list = self.offsets.tolist()
+        self._slot_list: list[int] | None = None
+        self._gap_list: list[int] | None = None
+
+    def rows_of(self, page_ids: np.ndarray) -> np.ndarray:
+        """Row per page id, ``-1`` where the page does not appear."""
+        page_ids = np.asarray(page_ids, dtype=np.int64)
+        if not self.page_ids.size:
+            return np.full(page_ids.shape[0], -1, dtype=np.int64)
+        pos = np.searchsorted(self.page_ids, page_ids)
+        pos = np.minimum(pos, self.page_ids.shape[0] - 1)
+        return np.where(self.page_ids[pos] == page_ids, pos, -1)
+
+    def take(
+        self, rows: np.ndarray, column: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of ``column`` (``slots`` or ``gaps``) back to back.
+
+        Returns ``(flat, offsets)`` in the order of ``rows``; a ``-1`` row
+        contributes an empty run.
+        """
+        # Row -1 indexes the appended empty run.
+        sizes = np.append(np.diff(self.offsets), 0)[rows]
+        starts = np.append(self.offsets[:-1], 0)[rows]
+        offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        index = np.arange(int(offsets[-1]), dtype=np.int64) + np.repeat(
+            starts - offsets[:-1], sizes
+        )
+        return column[index], offsets
+
+    def count(self, page_id: int) -> int:
+        """Cells holding ``page_id`` (0 when it is off air)."""
+        row = self.rows.get(page_id)
+        return 0 if row is None else self._count_list[row]
+
+    def slot_list(self, page_id: int) -> list[int]:
+        """A fresh list of ``page_id``'s sorted appearance slots."""
+        if self._slot_list is None:
+            self._slot_list = self.slots.tolist()
+        return self._row_list(self._slot_list, page_id)
+
+    def gap_list(self, page_id: int) -> list[int]:
+        """A fresh list of ``page_id``'s cyclic gaps."""
+        if self._gap_list is None:
+            self._gap_list = self.gaps.tolist()
+        return self._row_list(self._gap_list, page_id)
+
+    def _row_list(self, flat: list[int], page_id: int) -> list[int]:
+        row = self.rows.get(page_id)
+        if row is None:
+            return []
+        return flat[self._offset_list[row]:self._offset_list[row + 1]]
 
 
 class BroadcastProgram:
@@ -63,26 +177,13 @@ class BroadcastProgram:
         self._grid: list[list[int | None]] = [
             [None] * cycle_length for _ in range(num_channels)
         ]
-        # page_id -> sorted-on-demand list of SlotRef; the source of
-        # truth for appearance queries.  ``None`` means "not built yet":
-        # bulk constructors (:meth:`from_grid` / :meth:`from_array`)
-        # defer the table and the first appearance query derives it from
-        # the grid in one row-major pass — so building a program costs
-        # O(rows copied) and consumers that never ask for appearances
-        # (placement benchmarks, grid diffs) never pay for SlotRefs.
-        self._appearances: dict[int, list[SlotRef]] | None = {}
-        # Memoised derived tables, invalidated per page on any mutation
-        # of that page's cells.  Delay evaluation calls appearance_slots/
-        # cyclic_gaps once per page per metric, so repeated evaluation of
-        # a finished program (the common analysis pattern) pays the sort
-        # exactly once.
-        self._slots_cache: dict[int, list[int]] = {}
-        self._gaps_cache: dict[int, list[int]] = {}
         # Packed int64 mirror of the grid (-1 = free), built lazily by
         # :meth:`packed_grid` and kept in sync cell-by-cell on mutation.
         # The array-kernel constructors seed it for free, so consumers
         # like the live re-plan patcher never pay an O(grid) conversion.
         self._packed = None
+        # (version, AppearanceTable) of the last derivation.
+        self._table: tuple[int, AppearanceTable] | None = None
         # Bumped on every cell mutation; see :attr:`version`.
         self._version = 0
 
@@ -139,41 +240,26 @@ class BroadcastProgram:
         """True if the cell holds no page."""
         return self.get(channel, slot) is None
 
-    def _appearance_table(self) -> dict[int, list[SlotRef]]:
-        """The appearance table, derived from the grid on first demand."""
-        table = self._appearances
-        if table is None:
-            table = {}
-            for channel, row in enumerate(self._grid):
-                for slot, page_id in enumerate(row):
-                    if page_id is not None:
-                        refs = table.get(page_id)
-                        if refs is None:
-                            table[page_id] = refs = []
-                        refs.append(SlotRef(slot=slot, channel=channel))
-            self._appearances = table
-        return table
-
     def assign(self, channel: int, slot: int, page_id: int) -> None:
         """Place ``page_id`` at ``(channel, slot)``.
 
         Raises:
             SlotConflictError: If the cell is already occupied.
+            InvalidInstanceError: If ``page_id`` is ``-1``, the packed
+                grid's free-cell marker.
         """
         self._check_cell(channel, slot)
+        if page_id == -1:
+            raise InvalidInstanceError(
+                "page id -1 is reserved: it marks a free packed-grid cell"
+            )
         occupant = self._grid[channel][slot]
         if occupant is not None:
             raise SlotConflictError(
                 f"slot (ch={channel}, slot={slot}) already holds page "
                 f"{occupant}; cannot place page {page_id}"
             )
-        appearances = self._appearance_table()
         self._grid[channel][slot] = page_id
-        appearances.setdefault(page_id, []).append(
-            SlotRef(slot=slot, channel=channel)
-        )
-        self._slots_cache.pop(page_id, None)
-        self._gaps_cache.pop(page_id, None)
         if self._packed is not None:
             self._packed[channel, slot] = page_id
         self._version += 1
@@ -183,14 +269,7 @@ class BroadcastProgram:
         self._check_cell(channel, slot)
         occupant = self._grid[channel][slot]
         if occupant is not None:
-            appearances = self._appearance_table()
             self._grid[channel][slot] = None
-            refs = appearances[occupant]
-            refs.remove(SlotRef(slot=slot, channel=channel))
-            if not refs:
-                del appearances[occupant]
-            self._slots_cache.pop(occupant, None)
-            self._gaps_cache.pop(occupant, None)
             if self._packed is not None:
                 self._packed[channel, slot] = -1
             self._version += 1
@@ -241,13 +320,34 @@ class BroadcastProgram:
     # Appearance queries (the client's view)
     # ------------------------------------------------------------------
 
+    def appearance_table(self) -> AppearanceTable:
+        """Every page's appearances, derived from :meth:`packed_grid`.
+
+        Memoised on :attr:`version`: repeated queries between mutations
+        share one derivation, and the first query after an
+        :meth:`assign`/:meth:`clear` re-derives the whole table in one
+        array pass.
+        """
+        memo = self._table
+        if memo is None or memo[0] != self._version:
+            memo = (
+                self._version,
+                AppearanceTable(self.packed_grid(), self._cycle_length),
+            )
+            self._table = memo
+        return memo[1]
+
     def page_ids(self) -> set[int]:
         """All page ids appearing at least once in the program."""
-        return set(self._appearance_table())
+        return set(self.appearance_table().rows)
 
     def appearances(self, page_id: int) -> list[SlotRef]:
         """All cells holding ``page_id``, sorted by airtime."""
-        return sorted(self._appearance_table().get(page_id, []))
+        slots, channels = np.nonzero(self.packed_grid().T == page_id)
+        return [
+            SlotRef(slot=slot, channel=channel)
+            for slot, channel in zip(slots.tolist(), channels.tolist())
+        ]
 
     def appearance_slots(self, page_id: int) -> list[int]:
         """Sorted slot indices at which ``page_id`` is broadcast.
@@ -256,29 +356,16 @@ class BroadcastProgram:
         tunes to whichever channel carries the next appearance, so only the
         slot (column) matters for waiting time.
         """
-        cached = self._slots_cache.get(page_id)
-        if cached is None:
-            cached = sorted(
-                {
-                    ref.slot
-                    for ref in self._appearance_table().get(page_id, [])
-                }
-            )
-            self._slots_cache[page_id] = cached
-        return list(cached)
+        return self.appearance_table().slot_list(page_id)
 
     def broadcast_count(self, page_id: int) -> int:
         """Number of appearances of ``page_id`` in one cycle (``s_{i,j}``)."""
-        return len(self._appearance_table().get(page_id, []))
+        return self.appearance_table().count(page_id)
 
     def page_counts(self) -> Counter[int]:
         """Appearance count per page id."""
-        return Counter(
-            {
-                page_id: len(refs)
-                for page_id, refs in self._appearance_table().items()
-            }
-        )
+        table = self.appearance_table()
+        return Counter(dict(zip(table.rows, table.counts.tolist())))
 
     def cyclic_gaps(self, page_id: int) -> list[int]:
         """Cyclic gaps between consecutive appearances of ``page_id``.
@@ -286,20 +373,12 @@ class BroadcastProgram:
         The gaps partition the cycle: they always sum to ``cycle_length``.
         A page appearing once has a single gap equal to the whole cycle.
         """
-        cached = self._gaps_cache.get(page_id)
-        if cached is None:
-            slots = self.appearance_slots(page_id)
-            if not slots:
-                raise InvalidInstanceError(
-                    f"page {page_id} does not appear in the program"
-                )
-            if len(slots) == 1:
-                cached = [self._cycle_length]
-            else:
-                cached = [b - a for a, b in zip(slots, slots[1:])]
-                cached.append(self._cycle_length - slots[-1] + slots[0])
-            self._gaps_cache[page_id] = cached
-        return list(cached)
+        gaps = self.appearance_table().gap_list(page_id)
+        if not gaps:
+            raise InvalidInstanceError(
+                f"page {page_id} does not appear in the program"
+            )
+        return gaps
 
     def wait_time(self, page_id: int, arrival: float) -> float:
         """Time from ``arrival`` until the next broadcast start of ``page_id``.
@@ -333,9 +412,7 @@ class BroadcastProgram:
         every non-``None`` cell in row-major order, but without per-cell
         bounds and conflict checks (each cell is written exactly once by
         construction).  Fast placement kernels materialise their result
-        through this path.  The appearance table is deferred: building it
-        per cell would dominate large constructions, and the first
-        appearance query derives the identical table from the grid.
+        through this path.
         """
         if not grid or not grid[0]:
             raise InvalidInstanceError("grid must be non-empty")
@@ -349,7 +426,6 @@ class BroadcastProgram:
                     f"{cycle_length}"
                 )
             rows[channel] = list(row)
-        program._appearances = None
         return program
 
     @classmethod
@@ -359,31 +435,26 @@ class BroadcastProgram:
         The vectorised placement kernels finish holding a numpy
         ``(num_channels, cycle_length)`` int grid; this converts it in
         bulk (one C-level pass per row, no per-cell Python loop) and
-        defers the appearance table exactly like :meth:`from_grid`.
+        keeps a copy as the packed mirror.
         """
-        import numpy as np
-
         arr = np.asarray(array)
         if arr.ndim != 2 or arr.size == 0:
             raise InvalidInstanceError("grid must be a non-empty 2-D array")
         cells = arr.astype(object)
-        cells[arr < 0] = None
+        cells[arr == -1] = None
         program = cls(
             num_channels=arr.shape[0], cycle_length=arr.shape[1]
         )
         program._grid = cells.tolist()
-        program._appearances = None
         program._packed = arr.astype(np.int64)
         return program
 
     def copy(self) -> "BroadcastProgram":
-        """An independent copy of this program (grid and appearances).
+        """An independent copy of this program.
 
-        A structural copy, not a rebuild: the per-cell containers are
-        duplicated but the :class:`SlotRef` objects (immutable) and the
-        memoised appearance tables are shared/copied as-is, so copying
-        costs list duplication rather than re-deriving every reference.
-        A deferred appearance table stays deferred in the clone.
+        Both grid views are duplicated; a current appearance table is
+        shared (its arrays are read-only), so a copy answers appearance
+        queries without re-deriving until one of the two is mutated.
         The live re-plan patcher copies the on-air program this way
         before editing one group's cells.
         """
@@ -392,23 +463,10 @@ class BroadcastProgram:
             cycle_length=self._cycle_length,
         )
         clone._grid = [list(row) for row in self._grid]
-        if self._appearances is None:
-            clone._appearances = None
-        else:
-            clone._appearances = {
-                page_id: list(refs)
-                for page_id, refs in self._appearances.items()
-            }
-        clone._slots_cache = {
-            page_id: list(slots)
-            for page_id, slots in self._slots_cache.items()
-        }
-        clone._gaps_cache = {
-            page_id: list(gaps)
-            for page_id, gaps in self._gaps_cache.items()
-        }
         if self._packed is not None:
             clone._packed = self._packed.copy()
+        if self._table is not None and self._table[0] == self._version:
+            clone._table = (clone._version, self._table[1])
         return clone
 
     def grid_rows(self) -> list[list[int | None]]:
@@ -427,8 +485,6 @@ class BroadcastProgram:
         makes its taut-budget patches microsecond-scale.
         """
         if self._packed is None:
-            import numpy as np
-
             self._packed = np.asarray(
                 [
                     [-1 if cell is None else cell for cell in row]
@@ -490,7 +546,7 @@ class BroadcastProgram:
         """
         if cell_width is None:
             widest = max(
-                (len(str(pid)) for pid in self._appearance_table()),
+                (len(str(pid)) for pid in self.appearance_table().rows),
                 default=1,
             )
             cell_width = max(widest, len(str(self._cycle_length))) + 1
@@ -517,6 +573,6 @@ class BroadcastProgram:
         return (
             f"BroadcastProgram(channels={self._num_channels}, "
             f"cycle={self._cycle_length}, "
-            f"pages={len(self._appearance_table())}, "
+            f"pages={len(self.appearance_table().rows)}, "
             f"occupancy={self.occupancy():.2f})"
         )

@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from repro.core.errors import ProgramValidationError
 from repro.core.pages import ProblemInstance
 from repro.core.program import BroadcastProgram
@@ -110,22 +112,44 @@ def validate_program(
     Returns:
         A :class:`ValidationReport`; ``report.ok`` is the validity verdict.
     """
-    violations: list[Violation] = []
-    max_excess = 0.0
-    known_ids = {page.page_id for page in instance.pages()}
-
-    for extra in sorted(program.page_ids() - known_ids):
-        violations.append(
-            Violation(
-                kind=ViolationKind.UNKNOWN_PAGE,
-                page_id=extra,
-                detail="appears in the program but not in the instance",
-            )
+    table = program.appearance_table()
+    pages = list(instance.pages())
+    ids = np.fromiter((page.page_id for page in pages), np.int64, len(pages))
+    times = np.fromiter(
+        (page.expected_time for page in pages), np.int64, len(pages)
+    )
+    violations = [
+        Violation(
+            kind=ViolationKind.UNKNOWN_PAGE,
+            page_id=extra,
+            detail="appears in the program but not in the instance",
         )
+        for extra in table.page_ids[
+            ~np.isin(table.page_ids, ids)
+        ].tolist()
+    ]
 
-    for page in instance.pages():
-        slots = program.appearance_slots(page.page_id)
-        if not slots:
+    # One array pass flags the pages that break a condition; only those
+    # are walked in Python, in instance order, to word their violations.
+    rows = table.rows_of(ids)
+    present = rows >= 0
+    late = np.zeros(len(pages), dtype=bool)
+    too_long = np.zeros(len(pages), dtype=bool)
+    if table.page_ids.size:
+        safe = np.where(present, rows, 0)
+        first = table.slots[table.offsets[safe]]
+        widest = np.maximum.reduceat(table.gaps, table.offsets[:-1])[safe]
+        # Condition 1: first appearance within the first t_i slots.
+        # 0-based: slot index strictly below t_i means the broadcast
+        # begins no later than the paper's (1-based) time t_i.
+        late = present & (first >= times)
+        # Condition 2: every cyclic gap within t_i.
+        too_long = present & (widest > times)
+
+    max_excess = 0.0
+    for index in np.flatnonzero(~present | late | too_long).tolist():
+        page = pages[index]
+        if not present[index]:
             violations.append(
                 Violation(
                     kind=ViolationKind.MISSING_PAGE,
@@ -135,35 +159,32 @@ def validate_program(
             )
             max_excess = float("inf")
             continue
-        # Condition 1: first appearance within the first t_i slots.
-        # 0-based: slot index strictly below t_i means the broadcast begins
-        # no later than the paper's (1-based) time t_i.
-        first = slots[0]
-        if first >= page.expected_time:
+        if late[index]:
             violations.append(
                 Violation(
                     kind=ViolationKind.LATE_FIRST_APPEARANCE,
                     page_id=page.page_id,
                     detail=(
-                        f"first broadcast at slot {first} (0-based) but "
-                        f"expected time is {page.expected_time}"
+                        f"first broadcast at slot {int(first[index])} "
+                        f"(0-based) but expected time is "
+                        f"{page.expected_time}"
                     ),
                 )
             )
-        # Condition 2: every cyclic gap within t_i.
-        for gap in program.cyclic_gaps(page.page_id):
-            if gap > page.expected_time:
-                violations.append(
-                    Violation(
-                        kind=ViolationKind.GAP_EXCEEDS_EXPECTED_TIME,
-                        page_id=page.page_id,
-                        detail=(
-                            f"gap of {gap} slots exceeds expected time "
-                            f"{page.expected_time}"
-                        ),
+        if too_long[index]:
+            for gap in table.gap_list(page.page_id):
+                if gap > page.expected_time:
+                    violations.append(
+                        Violation(
+                            kind=ViolationKind.GAP_EXCEEDS_EXPECTED_TIME,
+                            page_id=page.page_id,
+                            detail=(
+                                f"gap of {gap} slots exceeds expected "
+                                f"time {page.expected_time}"
+                            ),
+                        )
                     )
-                )
-                max_excess = max(max_excess, gap - page.expected_time)
+                    max_excess = max(max_excess, gap - page.expected_time)
 
     return ValidationReport(
         violations=tuple(violations), max_excess_wait=max_excess

@@ -841,10 +841,21 @@ class FederatedBroadcastService:
     ) -> None:
         if shards < 1:
             raise ReproError(f"shards must be >= 1, got {shards}")
-        if rebalance_threshold and rebalance_threshold <= 1.0:
+        # ``nan`` fails every comparison, so finiteness is checked first:
+        # a nan threshold would otherwise pass as "enabled" and fire the
+        # drift trigger on every slot.
+        if not math.isfinite(rebalance_threshold) or (
+            rebalance_threshold and rebalance_threshold <= 1.0
+        ):
             raise ReproError(
                 "rebalance_threshold must be > 1 (or 0 to disable), "
                 f"got {rebalance_threshold}"
+            )
+        if slo_window < 1:
+            raise ReproError(f"slo_window must be >= 1, got {slo_window}")
+        if not 0.0 <= target_miss_rate <= 1.0:
+            raise ReproError(
+                f"target_miss_rate must be in [0, 1], got {target_miss_rate}"
             )
         if max_pages_moved < 0:
             raise ReproError(

@@ -39,8 +39,11 @@ from repro.core.program import BroadcastProgram
 
 __all__ = ["INDEX_SLOT", "AccessResult", "IndexedProgram", "build_indexed_program"]
 
-INDEX_SLOT = -1
-"""Reserved page id marking an index segment slot in the expanded grid."""
+INDEX_SLOT = -2
+"""Reserved page id marking an index segment slot in the expanded grid.
+
+Negative, so it never collides with a data page, and not ``-1``, which
+marks a free cell in the program's packed grid."""
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,13 @@ class PullOutcome:
         }
 
 
+def _literal_key(
+    pending: dict[int, list[tuple[float, int]]], page_id: int, slot: int
+) -> tuple[float, int]:
+    """The rule's key for one page: aggregate wait, then smaller id."""
+    return (sum(slot - arrival for arrival, _ in pending[page_id]), -page_id)
+
+
 def replay_pull_lwf(
     initial: ProblemInstance | Mapping[int, int],
     trace: MutationTrace,
@@ -87,6 +94,12 @@ def replay_pull_lwf(
     server has no admission story): removals drop the page's pending
     requests as misses, requests for unknown pages miss immediately, and
     requests still pending at the horizon miss.
+
+    Each page keeps a running count and arrival sum, so scoring a page
+    costs O(1) rather than a pass over its pending requests; the few
+    pages whose running key lies within its proven rounding bound of the
+    best are re-scored with the literal sum, which keeps every choice,
+    and so the whole outcome, identical to the literal rule.
 
     Args:
         initial: Catalog on air at ``t=0``.
@@ -105,8 +118,10 @@ def replay_pull_lwf(
 
     listeners = served = misses = broadcasts = 0
     total_wait = 0.0
-    # page_id -> list of (arrival, promised deadline), arrival order.
+    # page_id -> list of (arrival, promised deadline), arrival order,
+    # plus the running float sum of those arrivals (same insertion).
     pending: dict[int, list[tuple[float, int]]] = {}
+    arrival_sums: dict[int, float] = {}
 
     events = iter(trace.events)
     upcoming = next(events, None)
@@ -118,10 +133,17 @@ def replay_pull_lwf(
             upcoming = next(events, None)
             if event.kind == "listener":
                 listeners += 1
-                if event.page_id in pages:
-                    pending.setdefault(event.page_id, []).append(
-                        (event.time, event.expected_time)
-                    )
+                page_id = event.page_id
+                if page_id in pages:
+                    waiting = pending.get(page_id)
+                    if waiting is None:
+                        pending[page_id] = [
+                            (event.time, event.expected_time)
+                        ]
+                        arrival_sums[page_id] = float(event.time)
+                    else:
+                        waiting.append((event.time, event.expected_time))
+                        arrival_sums[page_id] += event.time
                 else:
                     misses += 1
             elif event.kind == "page_insert":
@@ -129,20 +151,56 @@ def replay_pull_lwf(
             elif event.kind == "page_remove":
                 pages.discard(event.page_id)
                 misses += len(pending.pop(event.page_id, ()))
+                arrival_sums.pop(event.page_id, None)
             # page_retune: promised deadlines travel with the listeners.
-        if slot == trace.horizon:
-            break
+        if slot == trace.horizon or not pending:
+            continue
         # 2. Broadcast the longest-aggregate-wait pages on each channel.
-        for _ in range(budget):
-            if not pending:
-                break
-            chosen = max(
-                pending,
-                key=lambda pid: (
-                    sum(slot - arrival for arrival, _ in pending[pid]),
-                    -pid,
-                ),
-            )
+        #
+        # The rule's key is the literal left-to-right float sum
+        # L = sum(slot - a_i) over a page's n pending arrivals; this loop
+        # ranks by F = n*slot - A instead, A being the running float sum
+        # of the arrivals.  Error bound, with u = 2**-53,
+        # gamma_n = n*u / (1 - n*u), S = n*slot - sum(a_i) exact, and
+        # 0 <= a_i <= slot (arrivals are non-negative and applied no
+        # later than their slot):
+        #   |L - S| <= gamma_n * sum(slot - a_i) <= gamma_n * n * slot
+        #     (each term rounds once, then recursive summation; Python
+        #     3.12's compensated float sum() is tighter still);
+        #   |F - S| <= u * |n*slot - A| + |A - sum(a_i)|
+        #          <= (u + (1 + u) * gamma_{n-1}) * n * slot
+        #          <= gamma_n * n * slot
+        #     (n*slot converts to float exactly below 2**53, A is a
+        #     recursive sum, the subtraction rounds once).
+        # So |F - L| <= 2 * gamma_n * n * slot < 3 * n*n * slot * u.
+        # ``slack`` = 8 * n_max**2 * slot * u covers that for every page,
+        # with room for the rounding of the threshold itself.  A page
+        # whose F trails the top F by more than 2 * slack therefore has
+        # a literal key strictly below the top page's; the pages within
+        # it are re-scored with the literal key (ties to the smaller id),
+        # so the chosen page is exactly the one the literal rule picks.
+        ranked = sorted(
+            (
+                (len(waiting) * slot - arrival_sums[page_id], page_id)
+                for page_id, waiting in pending.items()
+            ),
+            reverse=True,
+        )
+        longest = max(len(waiting) for waiting in pending.values())
+        slack = longest * longest * slot * 2.0**-50
+        for _ in range(min(budget, len(ranked))):
+            floor = ranked[0][0] - 2.0 * slack
+            near = 1
+            while near < len(ranked) and ranked[near][0] >= floor:
+                near += 1
+            pick = 0
+            if near > 1:
+                pick = max(
+                    range(near),
+                    key=lambda k: _literal_key(pending, ranked[k][1], slot),
+                )
+            chosen = ranked.pop(pick)[1]
+            del arrival_sums[chosen]
             broadcasts += 1
             for arrival, deadline in pending.pop(chosen):
                 wait = slot - arrival

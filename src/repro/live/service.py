@@ -378,7 +378,7 @@ class LiveBroadcastService:
         if not report.ok:
             raise SimulationError(
                 f"live program invalid after {context} at t={self.now}: "
-                f"{report.errors[:3]}"
+                f"{'; '.join(str(v) for v in report.violations[:3])}"
             )
 
     # ------------------------------------------------------------------

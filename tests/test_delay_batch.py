@@ -33,6 +33,8 @@ from repro.core.delay import (
     page_miss_probability_batch,
     paper_group_delay,
     paper_group_delay_batch,
+    program_average_delay,
+    uniform_access_probabilities,
 )
 from repro.core.errors import ReproError, SimulationError
 from repro.core.pages import instance_from_counts
@@ -177,6 +179,48 @@ class TestMeasurementBatches:
             for page_id, time in zip(page_ids, times)
         ]
         assert list(got) == expected
+
+    @given(case=scheduled_programs(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_program_average_delay_matches_scalar_sum_bitwise(
+        self, case, data
+    ):
+        # program_average_delay runs on the batch kernel; the reference
+        # is the scalar page model summed in instance page order.
+        instance, program = case
+        pages = list(instance.pages())
+        weights = data.draw(
+            st.lists(
+                st.integers(1, 9), min_size=len(pages), max_size=len(pages)
+            )
+        )
+        skewed = {
+            page.page_id: weight / sum(weights)
+            for page, weight in zip(pages, weights)
+        }
+        for access in (None, skewed):
+            resolved = access or uniform_access_probabilities(instance)
+            expected = sum(
+                resolved[page.page_id]
+                * page_average_delay(
+                    program, page.page_id, page.expected_time
+                )
+                for page in pages
+            )
+            assert program_average_delay(program, instance, access) == (
+                expected
+            )
+        # Pages out of table order take the row-gather path.
+        shuffled = data.draw(st.permutations(pages))
+        got = page_average_delay_batch(
+            program,
+            [page.page_id for page in shuffled],
+            [page.expected_time for page in shuffled],
+        )
+        assert list(got) == [
+            page_average_delay(program, page.page_id, page.expected_time)
+            for page in shuffled
+        ]
 
     @given(case=scheduled_programs())
     @settings(max_examples=40, deadline=None)

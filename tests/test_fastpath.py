@@ -235,8 +235,7 @@ class TestAppearanceCaches:
             page_id: program.cyclic_gaps(page_id)
             for page_id in program.page_ids()
         }
-        program._slots_cache.clear()
-        program._gaps_cache.clear()
+        program._table = None  # drop the memoised appearance table
         for page_id in program.page_ids():
             assert program.appearance_slots(page_id) == warm_slots[page_id]
             assert program.cyclic_gaps(page_id) == warm_gaps[page_id]

@@ -278,6 +278,38 @@ class TestValidation:
                 _instance(), _trace(), shards=2, max_pages_moved=-1
             )
 
+    # The checks below run in the constructor, before any routing: a
+    # nan threshold used to pass the ``<= 1`` guard and turn drift
+    # rebalancing always on, and a bad SLO window or target only failed
+    # inside a shard worker after the whole trace had been routed.
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ReproError, match="rebalance_threshold"):
+            FederatedBroadcastService(
+                _instance(), _trace(), shards=2,
+                rebalance_threshold=threshold,
+            )
+
+    def test_zero_slo_window_rejected(self):
+        with pytest.raises(ReproError, match="slo_window must be >= 1"):
+            FederatedBroadcastService(
+                _instance(), _trace(), shards=2, slo_window=0
+            )
+
+    @pytest.mark.parametrize("rate", [-1.0, 1.5])
+    def test_target_miss_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ReproError, match="target_miss_rate"):
+            FederatedBroadcastService(
+                _instance(), _trace(), shards=2, target_miss_rate=rate
+            )
+
+    def test_nan_target_miss_rate_rejected(self):
+        with pytest.raises(ReproError, match="target_miss_rate"):
+            FederatedBroadcastService(
+                _instance(), _trace(), shards=2,
+                target_miss_rate=float("nan"),
+            )
+
 
 class TestEngineFacade:
     def test_federate_emits_deterministic_current_manifest(self):

@@ -315,6 +315,20 @@ class TestLiveBroadcastService:
         assert report.final_valid
         assert report.program.broadcast_count(100) >= 1
 
+    def test_self_check_reports_an_invalid_program(self, fig2_instance):
+        # Corrupt the on-air program behind the service's back: page 1
+        # loses every appearance, so the post-mutation check must raise
+        # the documented SimulationError naming the violation.
+        trace = scripted_trace(16, [(2.0, "page_remove", 2)])
+        service = LiveBroadcastService(
+            fig2_instance, trace, budget=5, self_check=True
+        )
+        service.start()
+        for ref in service.program.appearances(1):
+            service.program.clear(ref.channel, ref.slot)
+        with pytest.raises(SimulationError, match="missing-page.*page 1"):
+            service.offer(trace.events[0])
+
     def test_remove_clears_cells_without_replanning(self, fig2_instance):
         trace = scripted_trace(16, [(2.0, "page_remove", 1)])
         service = LiveBroadcastService(
