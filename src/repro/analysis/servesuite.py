@@ -4,10 +4,6 @@
 this module pins the *serving* fast paths added on top of the live
 runtime and the sweep executor:
 
-* **Batched listener replay** — :class:`~repro.live.service.
-  LiveBroadcastService` with ``batch_listeners=True`` replays runs of
-  consecutive listener arrivals as one vectorised ``searchsorted`` pass
-  instead of one event-loop callback each.
 * **Mutation coalescing** — ``coalesce_window > 0`` folds same-page
   mutation churn (insert+remove cancels, retunes collapse to the last)
   into net operations, re-planning once per surviving operation instead
@@ -26,8 +22,10 @@ validated and regression-gated by the same
 :func:`~repro.analysis.perfsuite.validate_payload` /
 :func:`~repro.analysis.perfsuite.compare_payloads` (parameterised by
 schema).  Each entry additionally carries a ``stats`` block with the
-throughput headline numbers (listeners/sec, re-plans avoided,
-cells/sec) quoted in README and DESIGN.
+throughput headline numbers (re-plans avoided, cells/sec) quoted in
+README and DESIGN.  Listener replay has no reference arm to time
+against; its absolute throughput is measured end to end by the
+``station`` and ``fleet`` jobs of ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -55,57 +53,6 @@ def _serve_instance():
     from repro.core.pages import instance_from_counts
 
     return instance_from_counts((2, 3, 2), (2, 4, 8))
-
-
-def _build_listener_replay(quick: bool):
-    from repro.live.service import LiveBroadcastService
-    from repro.workload.mutations import generate_mutation_trace
-
-    instance = _serve_instance()
-    listeners = 20_000 if quick else 1_000_000
-    mutations = 40 if quick else 200
-    horizon = 4_096 if quick else 262_144
-    budget = 12  # ample: admission never rejects, the replay is pure serving
-    trace = generate_mutation_trace(
-        instance,
-        seed=7,
-        horizon=horizon,
-        mutations=mutations,
-        listeners=listeners,
-    )
-    trace.fingerprint()  # memoise outside the timers
-
-    def run(batch: bool):
-        # Relaxed SLO target: corrective re-plans fire in neither path,
-        # so the ratio measures listener replay alone (the SLO-breach
-        # path is pinned batch-vs-event by the equivalence tests).
-        return LiveBroadcastService(
-            instance,
-            trace,
-            budget=budget,
-            batch_listeners=batch,
-            slo_window=256,
-            target_miss_rate=0.5,
-        ).run()
-
-    config = {
-        "listeners": listeners,
-        "mutations": mutations,
-        "horizon": horizon,
-        "budget": budget,
-        "slo_window": 256,
-        "target_miss_rate": 0.5,
-    }
-
-    def stats(reference_s: float, fast_s: float) -> dict:
-        return {
-            "listeners_per_second_reference": round(
-                listeners / reference_s
-            ),
-            "listeners_per_second_fast": round(listeners / fast_s),
-        }
-
-    return config, lambda: run(False), lambda: run(True), stats
 
 
 def _storm_trace(instance, bursts: int, storm: int):
@@ -251,7 +198,6 @@ def _build_sweep_zerocopy(quick: bool):
 
 
 SUITE_ENTRIES: dict[str, tuple[float, _Builder]] = {
-    "serve_listener_replay": (5.0, _build_listener_replay),
     "serve_mutation_coalescing": (1.3, _build_mutation_coalescing),
     "serve_sweep_zerocopy": (1.1, _build_sweep_zerocopy),
 }

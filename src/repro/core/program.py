@@ -413,6 +413,11 @@ class BroadcastProgram:
         bounds and conflict checks (each cell is written exactly once by
         construction).  Fast placement kernels materialise their result
         through this path.
+
+        Raises:
+            InvalidInstanceError: If the grid is empty or ragged, or a
+                cell holds ``-1`` (the packed grid's free-cell marker,
+                which :meth:`assign` refuses too).
         """
         if not grid or not grid[0]:
             raise InvalidInstanceError("grid must be non-empty")
@@ -424,6 +429,11 @@ class BroadcastProgram:
                 raise InvalidInstanceError(
                     f"grid row {channel} has {len(row)} slots, expected "
                     f"{cycle_length}"
+                )
+            if -1 in row:
+                raise InvalidInstanceError(
+                    "page id -1 is reserved: it marks a free packed-grid "
+                    f"cell (grid row {channel})"
                 )
             rows[channel] = list(row)
         return program

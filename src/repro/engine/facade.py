@@ -797,8 +797,6 @@ class BroadcastEngine:
         replan_cooldown: int = 8,
         self_check: bool = False,
         baseline: bool = True,
-        batch_listeners: bool = False,
-        slo_exact: bool = False,
         coalesce_window: int = 0,
         manifest_path: str | Path | None = None,
     ) -> "LiveServiceResult":
@@ -832,12 +830,6 @@ class BroadcastEngine:
             self_check: Validate the program after every applied
                 mutation (slow; meant for tests).
             baseline: Also replay the trace through the pull baseline.
-            batch_listeners: Replay listener runs vectorised (see
-                :class:`~repro.live.service.LiveBroadcastService`); the
-                ``service.counters.batched_listeners`` manifest field
-                records how many arrivals took the batched path.
-            slo_exact: Bit-identical SLO wait accumulation in batched
-                mode.
             coalesce_window: Mutation-coalescing window in slots
                 (``0`` = event-by-event); ``service.counters.
                 events_coalesced`` / ``replans_avoided`` account for it.
@@ -869,8 +861,6 @@ class BroadcastEngine:
             target_miss_rate=target_miss_rate,
             replan_cooldown=replan_cooldown,
             self_check=self_check,
-            batch_listeners=batch_listeners,
-            slo_exact=slo_exact,
             coalesce_window=coalesce_window,
         )
         with self.telemetry.timer("live.replay"):
@@ -893,7 +883,6 @@ class BroadcastEngine:
                 "slo_window": slo_window,
                 "target_miss_rate": target_miss_rate,
                 "replan_cooldown": replan_cooldown,
-                "batch_listeners": batch_listeners,
                 "coalesce_window": coalesce_window,
                 "trace": {
                     "fingerprint": trace.fingerprint(),
@@ -944,8 +933,6 @@ class BroadcastEngine:
         slo_window: int = 64,
         target_miss_rate: float = 0.05,
         replan_cooldown: int = 8,
-        batch_listeners: bool = False,
-        router: str = "columnar",
         workers: int | None = None,
         mode: str | None = None,
         pool=None,
@@ -964,10 +951,7 @@ class BroadcastEngine:
         The manifest (operation ``"federate"``, schema v9 with the
         ``federation`` block and its ``transport`` field) is emitted
         deterministically, like :meth:`live`: fixed inputs produce
-        byte-identical documents.  The router is deliberately *not*
-        recorded anywhere in the manifest: the columnar and sequential
-        routers are required to produce byte-identical documents, and
-        CI diffs the two to prove it.
+        byte-identical documents.
 
         Args:
             initial: Catalog on air at ``t=0`` (instance or mapping);
@@ -984,11 +968,8 @@ class BroadcastEngine:
             admission: Toggle the global admission controller (shard
                 services inherit the flag).
             queue_limit: Global FIFO insert-queue capacity.
-            slo_window / target_miss_rate / replan_cooldown /
-            batch_listeners: Forwarded to every shard's live service.
-            router: Listener-routing implementation — ``"columnar"``
-                (vectorised, the default) or ``"sequential"`` (the
-                per-event reference); reports are byte-identical.
+            slo_window / target_miss_rate / replan_cooldown: Forwarded
+                to every shard's live service.
             workers: Fan-out width; defaults to the engine's
                 ``workers`` attribute.
             mode: Executor mode; defaults to the engine's ``executor``
@@ -1028,8 +1009,6 @@ class BroadcastEngine:
             slo_window=slo_window,
             target_miss_rate=target_miss_rate,
             replan_cooldown=replan_cooldown,
-            batch_listeners=batch_listeners,
-            router=router,
         )
         with self.telemetry.timer("federate.replay"):
             report = service.run(
@@ -1051,7 +1030,6 @@ class BroadcastEngine:
                 "max_pages_moved": max_pages_moved,
                 "admission": admission,
                 "queue_limit": queue_limit,
-                "batch_listeners": batch_listeners,
                 "trace": {
                     "fingerprint": trace.fingerprint(),
                     "horizon": trace.horizon,

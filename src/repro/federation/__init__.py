@@ -17,7 +17,6 @@ from repro.federation.admission import (
 )
 from repro.federation.ring import ShardRing, partition_catalog
 from repro.federation.service import (
-    FEDERATION_ROUTERS,
     FEDERATION_TRANSPORTS,
     ColumnarShardPlan,
     FederatedBroadcastService,
@@ -29,7 +28,6 @@ from repro.federation.service import (
 
 __all__ = [
     "ColumnarShardPlan",
-    "FEDERATION_ROUTERS",
     "FEDERATION_TRANSPORTS",
     "FederatedBroadcastService",
     "FederationReport",

@@ -18,19 +18,15 @@ deterministic phases:
    emitted as a ``page_remove``/``page_insert`` pair at the next slot,
    the Farach-Colton-style reallocation budget.
 
-   Two router implementations share the catalog control path and are
-   byte-identical by construction (property-tested):
-
-   * ``sequential`` — the reference: every event, listener arrivals
-     included, walks the control loop one Python iteration at a time.
-   * ``columnar`` (default) — the hot path: catalog events (original
-     plus injected drains/moves) still take the sequential control
-     path, but the listener runs between them are routed in vectorised
-     passes over :meth:`~repro.live.mutations.MutationTrace.columns` —
-     a dense page→shard lookup table refreshed from the controller's
-     shadow state after each catalog event, orphans detected by mask
-     and resolved through the (memoised) ring.  Per-listener Python
-     work drops to zero.
+   Catalog events (original plus injected drains/moves) walk the
+   control path one at a time; the listener runs between them are
+   routed in vectorised passes over
+   :meth:`~repro.live.mutations.MutationTrace.columns` — a dense
+   page→shard lookup table refreshed from the controller's shadow state
+   after each catalog event, orphans detected by mask and resolved
+   through the (memoised) ring.  Per-listener Python work is zero; the
+   tests hold the result byte-identical to a walk that routes every
+   listener one at a time.
 
 2. **Shard replay** — every shard's routed sub-trace replays through a
    :class:`~repro.live.service.LiveBroadcastService` on a *warm*
@@ -97,7 +93,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.facade import BroadcastEngine
 
 __all__ = [
-    "FEDERATION_ROUTERS",
     "FEDERATION_TRANSPORTS",
     "ColumnarShardPlan",
     "FederatedBroadcastService",
@@ -106,10 +101,6 @@ __all__ = [
     "ShardPlan",
     "replay_shard_task",
 ]
-
-#: Router implementations (identical outputs; ``columnar`` is the fast
-#: default, ``sequential`` the per-event reference).
-FEDERATION_ROUTERS = ("columnar", "sequential")
 
 #: Shard fan-out transports recorded in ``federation.transport``.
 FEDERATION_TRANSPORTS = ("inline", "shm", "pickle")
@@ -164,7 +155,6 @@ class ShardPlan:
     slo_window: int
     target_miss_rate: float
     replan_cooldown: int
-    batch_listeners: bool
     warm_engine: bool = True
 
 
@@ -196,7 +186,6 @@ class ColumnarShardPlan:
     slo_window: int
     target_miss_rate: float
     replan_cooldown: int
-    batch_listeners: bool
     warm_engine: bool = True
 
 
@@ -446,7 +435,6 @@ def replay_shard_task(plan: ShardPlan | ColumnarShardPlan) -> dict:
         slo_window=plan.slo_window,
         target_miss_rate=plan.target_miss_rate,
         replan_cooldown=plan.replan_cooldown,
-        batch_listeners=plan.batch_listeners,
     )
     report = service.run()
     summary = report.as_dict()
@@ -484,15 +472,14 @@ class RoutedTrace:
 
 
 class _RouterState:
-    """The catalog control path both routers share.
+    """The router's catalog control path.
 
-    Admission verdicts, queue drains and drift rebalancing live here so
-    the sequential reference and the columnar hot path cannot drift
-    apart — they differ only in how listener arrivals are resolved to
-    shards.  Dedup (``used_keys``) covers catalog and injected events
-    only: listeners are unique by the parent trace's own invariant, so
-    keeping one key per routed listener (the old behaviour) would cost
-    O(events) memory for no protection.
+    Admission verdicts, queue drains and drift rebalancing live here,
+    apart from listener resolution, so a per-event reference walk can
+    drive the same state.  Dedup (``used_keys``) covers catalog and
+    injected events only: listeners are unique by the parent trace's
+    own invariant, so keeping one key per routed listener (the old
+    behaviour) would cost O(events) memory for no protection.
     """
 
     def __init__(self, service: "FederatedBroadcastService") -> None:
@@ -806,17 +793,13 @@ class FederatedBroadcastService:
             inherit the flag).
         queue_limit: Global FIFO insert-queue capacity (shard services
             get the same local capacity as a safety net).
-        router: ``"columnar"`` (vectorised listener routing, the
-            default) or ``"sequential"`` (the per-event reference);
-            reports are byte-identical either way.
         warm_shard_pool: Replay each shard on a process-lifetime warm
             engine (program caches survive across runs — the default).
             ``False`` gives every replay a private cold engine, the
             pre-warm-pool behaviour; results are identical either way
             because cached programs are copied before use.
-        slo_window / target_miss_rate / replan_cooldown /
-        batch_listeners: Forwarded to every shard's
-            :class:`~repro.live.service.LiveBroadcastService`.
+        slo_window / target_miss_rate / replan_cooldown: Forwarded to
+            every shard's :class:`~repro.live.service.LiveBroadcastService`.
     """
 
     def __init__(
@@ -832,12 +815,10 @@ class FederatedBroadcastService:
         max_pages_moved: int = 4,
         admission: bool = True,
         queue_limit: int = 16,
-        router: str = "columnar",
         warm_shard_pool: bool = True,
         slo_window: int = 64,
         target_miss_rate: float = 0.05,
         replan_cooldown: int = 8,
-        batch_listeners: bool = False,
     ) -> None:
         if shards < 1:
             raise ReproError(f"shards must be >= 1, got {shards}")
@@ -861,11 +842,6 @@ class FederatedBroadcastService:
             raise ReproError(
                 f"max_pages_moved must be >= 0, got {max_pages_moved}"
             )
-        if router not in FEDERATION_ROUTERS:
-            raise ReproError(
-                f"unknown router {router!r}; choose from "
-                f"{', '.join(FEDERATION_ROUTERS)}"
-            )
         catalog = (
             LiveCatalog(initial).pages()
             if isinstance(initial, ProblemInstance)
@@ -888,12 +864,10 @@ class FederatedBroadcastService:
         self.max_pages_moved = int(max_pages_moved)
         self.admission = admission
         self.queue_limit = int(queue_limit)
-        self.router = router
         self.warm_shard_pool = bool(warm_shard_pool)
         self.slo_window = int(slo_window)
         self.target_miss_rate = float(target_miss_rate)
         self.replan_cooldown = int(replan_cooldown)
-        self.batch_listeners = batch_listeners
 
         self._group_overrides = self._seed_empty_shards(catalog, groups)
         self.group_assignment = {
@@ -956,57 +930,17 @@ class FederatedBroadcastService:
     # Phase 1: routing
     # ------------------------------------------------------------------
 
-    def route(self, router: str | None = None) -> RoutedTrace:
-        """Run phase 1 with the configured (or given) router."""
-        router = self.router if router is None else router
-        if router not in FEDERATION_ROUTERS:
-            raise ReproError(
-                f"unknown router {router!r}; choose from "
-                f"{', '.join(FEDERATION_ROUTERS)}"
-            )
-        if router == "sequential":
-            return self._route_sequential()
-        return self._route_columnar()
+    def route(self) -> RoutedTrace:
+        """Run phase 1: vectorised listener runs between catalog events.
 
-    def _route_sequential(self) -> RoutedTrace:
-        """The reference pass: every event walks the control loop."""
-        state = _RouterState(self)
-        controller = state.controller
-        routing = state.routing
-        listener_shard = np.full(len(self.trace.events), -1, dtype=np.int64)
-        for index, event in enumerate(self.trace.events):
-            if event.kind == "listener":
-                shard = controller.locate(event.page_id)
-                if shard is None:
-                    shard = self._effective_owner(
-                        int(event.expected_time or 1)
-                    )
-                    routing["orphan_listeners"] += 1
-                listener_shard[index] = shard
-                routing["listeners_routed"] += 1
-            else:
-                state.handle_catalog(event)
-        state.finish()
-        return RoutedTrace(
-            controller=controller,
-            decisions=state.decisions,
-            rebalances=state.rebalances,
-            routing=routing,
-            catalog_events=state.catalog_events,
-            listener_shard=listener_shard,
-        )
-
-    def _route_columnar(self) -> RoutedTrace:
-        """The hot pass: vectorised listener runs between catalog events.
-
-        Catalog events take the exact sequential control path (shared
-        :class:`_RouterState`); the listener runs between them resolve
+        Catalog events take the sequential control path
+        (:class:`_RouterState`); the listener runs between them resolve
         against a dense page→shard table refreshed from the controller's
         shadow state — refreshed lazily, only after catalog events, so a
         million listeners between two mutations cost two ``take``\\ s and
         a mask.  Trace sort order guarantees listeners at time ``t``
         precede catalog events at ``t``, so run boundaries land exactly
-        where the sequential walk would put them.
+        where a per-event walk would put them.
         """
         state = _RouterState(self)
         events = self.trace.events
@@ -1132,7 +1066,6 @@ class FederatedBroadcastService:
             "slo_window": self.slo_window,
             "target_miss_rate": self.target_miss_rate,
             "replan_cooldown": self.replan_cooldown,
-            "batch_listeners": self.batch_listeners,
             "warm_engine": self.warm_shard_pool,
         }
 

@@ -148,15 +148,6 @@ class LiveBroadcastService:
         self_check: Validate the program against the live catalog after
             every applied mutation while the budget covers the bound
             (the property-test hook; raises on violation).
-        batch_listeners: Replay consecutive listener arrivals between
-            catalog changes as one vectorised pass (the million-listener
-            throughput path).  SLO counters, breach triggers and re-plan
-            decisions are sequentially equivalent to the event-by-event
-            path; the event log aggregates each batch into one
-            ``listener_batch`` entry instead of per-listener entries.
-        slo_exact: In batched mode, accumulate the SLO wait total in
-            strict listener order (bit-identical to event-by-event)
-            instead of one vectorised sum (equal within float tolerance).
         coalesce_window: When positive, catalog mutations buffer for this
             many slots and flush as one net batch: an insert+remove of
             the same page cancels, repeated retunes collapse to the
@@ -179,8 +170,6 @@ class LiveBroadcastService:
         target_miss_rate: float = 0.05,
         replan_cooldown: int = 8,
         self_check: bool = False,
-        batch_listeners: bool = False,
-        slo_exact: bool = False,
         coalesce_window: int = 0,
     ) -> None:
         self.catalog = LiveCatalog(initial)
@@ -212,8 +201,6 @@ class LiveBroadcastService:
             )
         self.replan_cooldown = replan_cooldown
         self.self_check = self_check
-        self.batch_listeners = batch_listeners
-        self.slo_exact = slo_exact
         if coalesce_window < 0:
             raise SimulationError(
                 f"coalesce_window must be >= 0, got {coalesce_window}"
@@ -596,6 +583,7 @@ class LiveBroadcastService:
         return times
 
     def _on_listener(self, event: MutationEvent) -> None:
+        """Judge one listener (the online :meth:`offer` path)."""
         self._count("listeners")
         program = self.program
         if program is None or program.broadcast_count(event.page_id) == 0:
@@ -651,7 +639,7 @@ class LiveBroadcastService:
         re-plan-heavy traces stay linear while healthy traces quickly
         reach full-width vectorised passes.  Chunking is invisible in
         the output: the log, counters and SLO window are per segment,
-        and ``slo_exact`` accumulation stays left-to-right.
+        and the SLO wait total is one left-to-right fold.
 
         Args:
             all_times: float64 arrival times, in trace order.
@@ -667,7 +655,10 @@ class LiveBroadcastService:
         while start < total:
             program = self.program
             index = None
-            if program is not None and program.page_ids():
+            if (
+                program is not None
+                and program.appearance_table().page_ids.size
+            ):
                 index = AppearanceIndex.from_program(program)
             seg_start = start
             seg_served = 0
@@ -755,7 +746,6 @@ class LiveBroadcastService:
                     waits[:upto],
                     served[:upto],
                     miss[:upto],
-                    exact=self.slo_exact,
                 )
                 if all_served and upto == m:
                     seg_served += m
@@ -807,17 +797,21 @@ class LiveBroadcastService:
     def run(self) -> LiveReport:
         """Replay the whole trace; returns the structured report.
 
-        In batched mode the trace's memoised columnar arrays (see
+        The trace's memoised columnar arrays (see
         :meth:`~repro.live.mutations.MutationTrace.columns`) drive the
         schedule: listener runs between catalog mutations are located by
         a mask diff, split at coalescing flush boundaries with one
-        ``searchsorted`` per run, and dispatched to the vectorised
-        engine as array slices — no per-event Python work.  A listener
-        at exactly a flush time still precedes the flush (trace events
-        are scheduled before the dynamically-scheduled flush callback,
-        and the loop breaks ties FIFO), so runs are cut only after
-        listeners strictly past a flush, matching the event-by-event
-        path.
+        ``searchsorted`` per run, and dispatched to
+        :meth:`_replay_listeners` as array slices — no per-event Python
+        work.  The outcome equals feeding every event to
+        :meth:`_on_listener` / :meth:`_on_mutation` in trace order,
+        except that the event log aggregates each listener segment into
+        one ``listener_batch`` entry and ``batched_listeners`` counts
+        the arrivals.  A listener at exactly a flush time still precedes
+        the flush (trace events are scheduled before the
+        dynamically-scheduled flush callback, and the loop breaks ties
+        FIFO), so runs are cut only after listeners strictly past a
+        flush.
         """
         if self._loop is not None:
             raise SimulationError(
@@ -827,21 +821,9 @@ class LiveBroadcastService:
         self._loop = EventLoop()
         self._full_replan("initial")
         self._self_check("initial")
-        events = self.trace.events
-        flush_times = self._planned_flush_times()
-        if not self.batch_listeners:
-            for event in events:
-                handler = (
-                    self._on_listener
-                    if event.kind == "listener"
-                    else self._on_mutation
-                )
-                self._loop.schedule_at(event.time, partial(handler, event))
-            self._loop.run(until=float(self.trace.horizon))
-            return self._build_report()
-
         import numpy as np
 
+        events = self.trace.events
         all_times, is_listener, all_pages, all_expected = (
             self.trace.columns()
         )
@@ -849,7 +831,7 @@ class LiveBroadcastService:
             np.diff(np.concatenate(([False], is_listener, [False])))
         )
         runs = edges.reshape(-1, 2)  # [start, stop) listener runs
-        flushes = np.asarray(flush_times, dtype=np.float64)
+        flushes = np.asarray(self._planned_flush_times(), dtype=np.float64)
         cursor = 0
         for lo, hi in runs.tolist():
             for k in range(cursor, lo):
@@ -919,12 +901,14 @@ class LiveBroadcastService:
         """Begin an online session: plan the initial catalog at ``t=0``.
 
         The online surface (:meth:`start` / :meth:`offer` /
-        :meth:`finish`) drives the same per-event machinery as
-        :meth:`run`, but accepts events one at a time as they arrive
-        over the control plane instead of replaying a pre-built trace.
-        The two paths are behaviourally identical for the same event
-        sequence; online mode simply never uses the batched listener
-        kernel (events arrive singly, so there is nothing to batch).
+        :meth:`finish`) accepts events one at a time as they arrive over
+        the control plane instead of replaying a pre-built trace, and
+        judges each listener singly (:meth:`_on_listener`), so the
+        remediation engine can step after every event.  For the same
+        event sequence the report equals :meth:`run`'s except for the
+        ``batched_listeners`` counter; the event log holds one
+        ``listener`` entry per arrival instead of ``listener_batch``
+        entries.
         """
         if self._loop is not None:
             raise SimulationError(
@@ -938,9 +922,11 @@ class LiveBroadcastService:
         """Feed one event into a started session and process it.
 
         Events must arrive in non-decreasing time order (the loop
-        refuses to schedule into the past).  Advancing the clock to the
-        event's time first fires any coalescing-window flush that falls
-        due before it, exactly as in trace replay.
+        refuses to move into the past).  Advancing the clock to the
+        event's time first fires any coalescing-window flush due
+        strictly before it; a flush due at exactly that time waits for
+        a later event (or :meth:`finish`), because trace replay runs
+        every trace event at a timestamp ahead of a flush at it.
         """
         if self._loop is None:
             raise SimulationError(
@@ -953,8 +939,8 @@ class LiveBroadcastService:
             if event.kind == "listener"
             else self._on_mutation
         )
-        self._loop.schedule_at(event.time, partial(handler, event))
-        self._loop.run(until=event.time)
+        self._loop.advance_to(event.time)
+        handler(event)
 
     def finish(self) -> LiveReport:
         """End an online session: drain to the horizon and report."""

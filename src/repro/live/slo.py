@@ -125,7 +125,6 @@ class SloTracker:
         waits,
         served,
         misses,
-        exact: bool = False,
     ) -> None:
         """Fold a whole batch of judged listeners into the tracker.
 
@@ -133,13 +132,10 @@ class SloTracker:
         order, but with the per-listener bookkeeping done in bulk — the
         batched listener engine's half of the determinism contract.
         Counters, the rolling window and per-class buckets are exactly
-        sequential (integer arithmetic and ordered appends); only
-        ``total_wait`` depends on float summation order.  With
-        ``exact=True`` it accumulates left to right, bit-identical to
-        the event-by-event path; the default sums with
-        :func:`math.fsum` (correctly rounded, so *more* accurate, and
-        within a few ULP of the sequential sum — the tolerance the
-        agreement tests pin).
+        sequential (integer arithmetic and ordered appends), and
+        ``total_wait`` is one left-to-right fold (``np.add.accumulate``
+        seeded with the running total), so it is bit-identical to the
+        per-listener ``+=`` of :meth:`observe`.
 
         Args:
             expected_times: Promised deadline per listener (ints).
@@ -149,8 +145,6 @@ class SloTracker:
             misses: Bool per listener — deadline missed (off air or
                 ``wait > expected``)?  Judged by the caller so the wait
                 comparison happens once, vectorised.
-            exact: Accumulate ``total_wait`` in listener order instead
-                of in one vectorised sum.
         """
         import numpy as np
 
@@ -170,14 +164,15 @@ class SloTracker:
             )
         self.listeners += count
         self.misses += int(miss_arr.sum())
-        if exact:
-            total = self.total_wait
-            for wait in waits_arr[served_arr].tolist():
-                total += wait
-            self.total_wait = total
-        else:
-            self.total_wait += float(waits_arr[served_arr].sum())
-        self.served += int(served_arr.sum())
+        served_waits = waits_arr[served_arr]
+        if served_waits.size:
+            # accumulate (unlike sum) adds strictly left to right.
+            self.total_wait = float(
+                np.add.accumulate(
+                    np.concatenate(([self.total_wait], served_waits))
+                )[-1]
+            )
+        self.served += int(served_waits.size)
         # Only the last `window` observations can survive in the deque,
         # so extending with that tail is sequentially equivalent.
         self._recent.extend(miss_arr[-self.window:].tolist())

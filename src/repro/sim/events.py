@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -121,3 +122,19 @@ class EventLoop:
         if until is not None and until > self._now:
             self._now = until
         return self._now
+
+    def advance_to(self, time: float) -> None:
+        """Fire every event due strictly before ``time``; set the clock to it.
+
+        Events due exactly at ``time`` stay queued, so whatever the
+        caller does next at ``time`` goes ahead of them.
+
+        Raises:
+            SimulationError: If ``time`` lies in the past.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot advance to {time}; simulation time is {self._now}"
+            )
+        self.run(until=math.nextafter(time, -math.inf))
+        self._now = time

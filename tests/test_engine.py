@@ -560,7 +560,8 @@ class TestManifestCompat:
         assert "admission" in payload["service"]
         assert "slo" in payload["service"]
         counters = payload["service"]["counters"]
-        assert counters["batched_listeners"] == 0  # event-by-event run
+        # run() replays every listener through the batched path.
+        assert counters["batched_listeners"] == counters["listeners"]
         assert counters["events_coalesced"] == 0
         assert counters["replans_avoided"] == 0
 
@@ -680,26 +681,12 @@ class TestRunManifest:
 
 
 # ----------------------------------------------------------------------
-# Removed deprecation shims
+# Top-level namespace
 # ----------------------------------------------------------------------
 
 
 class TestRemovedShims:
-    """The PR-1 top-level aliases are gone; the errors name replacements."""
-
-    def test_top_level_schedulers_alias_removed(self):
-        import repro
-
-        with pytest.raises(AttributeError, match="register_scheduler"):
-            repro.SCHEDULERS
-
-    def test_top_level_channel_sweep_alias_removed(self):
-        import repro
-
-        with pytest.raises(
-            AttributeError, match=r"BroadcastEngine\.sweep"
-        ):
-            repro.channel_sweep
+    """Unknown names raise the stock error; the new names are exported."""
 
     def test_unknown_attribute_error_unchanged(self):
         import repro

@@ -292,6 +292,14 @@ class TestProgramCopy:
                 page_id
             )
 
+    def test_from_grid_rejects_the_free_cell_marker(self):
+        from repro.core.errors import InvalidInstanceError
+
+        with pytest.raises(InvalidInstanceError, match="-1 is reserved"):
+            BroadcastProgram.from_grid([[-1, 2]])
+        with pytest.raises(InvalidInstanceError, match="row 1"):
+            BroadcastProgram.from_grid([[1, None], [None, -1]])
+
 
 class TestPackedGridMirror:
     @staticmethod

@@ -1,16 +1,18 @@
-"""Columnar vs sequential federation routing: byte-identity and speed
-machinery.
+"""Federation routing against a per-event oracle: byte-identity and
+speed machinery.
 
-The columnar router is a pure performance optimisation: listeners are
-resolved to shards in vectorised passes instead of one Python iteration
-each, sub-traces are assembled by stable merge through
+The router is a pure performance optimisation: listeners are resolved
+to shards in vectorised passes instead of one Python iteration each,
+sub-traces are assembled by stable merge through
 ``MutationTrace.presorted`` and fingerprinted columnarly.  None of that
 may change a single byte of the resulting
-:class:`~repro.federation.service.FederationReport`:
+:class:`~repro.federation.service.FederationReport` relative to
+:func:`_route_sequential`, the walk that routes every event one at a
+time and is kept here as the oracle:
 
 * **Property (hypothesis)** — over random catalogs, taut budgets,
-  orphan-listener traces and rebalance storms, the two routers emit
-  byte-identical ``as_dict()`` documents.
+  orphan-listener traces and rebalance storms, the router and the
+  oracle emit byte-identical ``as_dict()`` documents.
 * **Transport equivalence** — the shared-memory fan-out, the pickle
   fan-out and the inline serial replay all produce the same report.
 * **Warm pool** — repeated runs through one persistent
@@ -23,6 +25,7 @@ may change a single byte of the resulting
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +33,10 @@ from hypothesis import strategies as st
 
 from repro.core.pages import instance_from_counts
 from repro.engine.executor import ExecutionPolicy, TaskPool
+import numpy as np
+
 from repro.federation import FederatedBroadcastService
-from repro.federation.service import _RouterState
+from repro.federation.service import RoutedTrace, _RouterState
 from repro.live.mutations import MutationEvent, MutationTrace
 from repro.workload.mutations import generate_mutation_trace
 
@@ -50,12 +55,44 @@ def _trace(instance, *, listeners=120, mutations=24, horizon=96, seed=2):
     )
 
 
+def _route_sequential(service):
+    """The oracle router: every event walks the control loop in turn."""
+    state = _RouterState(service)
+    listener_shard = np.full(len(service.trace.events), -1, dtype=np.int64)
+    for index, event in enumerate(service.trace.events):
+        if event.kind != "listener":
+            state.handle_catalog(event)
+            continue
+        shard = state.controller.locate(event.page_id)
+        if shard is None:
+            shard = service._effective_owner(int(event.expected_time or 1))
+            state.routing["orphan_listeners"] += 1
+        listener_shard[index] = shard
+        state.routing["listeners_routed"] += 1
+    state.finish()
+    return RoutedTrace(
+        controller=state.controller,
+        decisions=state.decisions,
+        rebalances=state.rebalances,
+        routing=state.routing,
+        catalog_events=state.catalog_events,
+        listener_shard=listener_shard,
+    )
+
+
+def _run(service, router):
+    """Run ``service`` with its own router or the ``"sequential"`` oracle."""
+    if router == "sequential":
+        service.route = partial(_route_sequential, service)
+    return service.run()
+
+
 def _report(router, *, trace=None, instance=None, **kwargs):
     instance = instance or _instance()
     trace = trace if trace is not None else _trace(instance)
-    defaults = dict(shards=2, seed=0, router=router)
+    defaults = dict(shards=2, seed=0)
     defaults.update(kwargs)
-    return FederatedBroadcastService(instance, trace, **defaults).run()
+    return _run(FederatedBroadcastService(instance, trace, **defaults), router)
 
 
 def _dumps(report):
@@ -63,20 +100,6 @@ def _dumps(report):
 
 
 class TestRouterEquivalence:
-    def test_default_router_is_columnar(self):
-        service = FederatedBroadcastService(
-            _instance(), _trace(_instance()), shards=2
-        )
-        assert service.router == "columnar"
-
-    def test_unknown_router_rejected(self):
-        from repro.core.errors import ReproError
-
-        with pytest.raises(ReproError, match="unknown router"):
-            FederatedBroadcastService(
-                _instance(), _trace(_instance()), shards=2, router="simd"
-            )
-
     def test_basic_byte_identity(self):
         assert _dumps(_report("columnar")) == _dumps(_report("sequential"))
 
@@ -147,17 +170,17 @@ class TestRouterEquivalence:
         )
 
         def build(router):
-            return FederatedBroadcastService(
+            service = FederatedBroadcastService(
                 instance,
                 trace,
                 shards=shards,
                 seed=seed,
-                router=router,
                 rebalance_threshold=threshold,
                 max_pages_moved=4,
                 queue_limit=queue_limit,
                 budget=2 + budget_slack if budget_slack else None,
-            ).run()
+            )
+            return _run(service, router)
 
         assert _dumps(build("columnar")) == _dumps(build("sequential"))
 

@@ -2,10 +2,12 @@
 
 Three fast paths, each pinned to its reference semantics:
 
-* **Batched listener replay** — ``batch_listeners=True`` must produce
-  the same programs, admission verdicts, SLO statistics and counters as
-  the event-by-event path (bit-identical with ``slo_exact=True``; the
-  default vectorised accumulation agrees within float tolerance).
+* **Batched listener replay** — :meth:`LiveBroadcastService.run`
+  must produce the same programs, admission verdicts, SLO statistics
+  and counters as :func:`_replay_event_by_event`, the per-event oracle
+  kept here (bit-identical, ``average_wait`` included).  The online
+  ``start``/``offer``/``finish`` surface must match the oracle's report
+  and event log exactly, coalescing window or not.
 * **Mutation coalescing** — a coalesced replay must equal an
   event-by-event replay of the *net* trace (the same windowed fold,
   applied independently here), as long as the budget is ample; taut
@@ -23,6 +25,7 @@ Three fast paths, each pinned to its reference semantics:
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +43,7 @@ from repro.engine.executor import (
 from repro.engine.registry import get_scheduler
 from repro.live.mutations import MutationEvent, MutationTrace
 from repro.live.service import LiveBroadcastService
+from repro.sim.events import EventLoop
 from repro.workload.mutations import generate_mutation_trace
 
 #: Ample channel budget for the (2, 3, 2) x (2, 4, 8) instance: every
@@ -51,9 +55,51 @@ def _initial_instance():
     return instance_from_counts((2, 3, 2), (2, 4, 8))
 
 
-def _run(instance, trace, **kwargs):
+def _replay_event_by_event(service):
+    """The oracle: every trace event through the per-event handlers.
+
+    Schedules each event on the loop up front, in trace order, exactly
+    as ``run()`` did before listener runs were batched — so a coalescing
+    flush due at ``t`` fires after every trace event at ``t``.
+    """
+    service._loop = EventLoop()
+    service._full_replan("initial")
+    service._self_check("initial")
+    for event in service.trace.events:
+        handler = (
+            service._on_listener
+            if event.kind == "listener"
+            else service._on_mutation
+        )
+        service._loop.schedule_at(event.time, partial(handler, event))
+    service._loop.run(until=float(service.trace.horizon))
+    return service._build_report()
+
+
+def _replay(instance, trace, *, oracle=False, **kwargs):
+    """Replay on a fresh service; returns ``(report, service)``."""
     kwargs.setdefault("budget", AMPLE_BUDGET)
-    return LiveBroadcastService(instance, trace, **kwargs).run()
+    service = LiveBroadcastService(instance, trace, **kwargs)
+    report = _replay_event_by_event(service) if oracle else service.run()
+    return report, service
+
+
+def _run(instance, trace, **kwargs):
+    return _replay(instance, trace, **kwargs)[0]
+
+
+def _run_online(instance, trace, **kwargs):
+    """Stream ``trace``'s events through ``start``/``offer``/``finish``."""
+    kwargs.setdefault("budget", AMPLE_BUDGET)
+    service = LiveBroadcastService(instance, trace, **kwargs)
+    service.start()
+    for event in trace.events:
+        service.offer(event)
+    return service.finish()
+
+
+def _without_batch_counter(counters):
+    return {k: v for k, v in counters.items() if k != "batched_listeners"}
 
 
 def _comparable(report):
@@ -85,7 +131,7 @@ class TestBatchedListenerReplay:
     @settings(max_examples=20, deadline=None)
     @given(case=replay_cases(), taut=st.booleans())
     def test_batched_replay_matches_event_by_event(self, case, taut):
-        """Exact mode is bit-identical, including mid-batch SLO replans.
+        """Bit-identical, including mid-batch SLO replans.
 
         ``taut=True`` drops the budget to the initial catalog's
         Theorem-3.1 requirement, so admission rejections and queueing
@@ -102,41 +148,45 @@ class TestBatchedListenerReplay:
             listeners=listeners,
         )
         budget = 2 if taut else AMPLE_BUDGET
-        event = _run(instance, trace, budget=budget, slo_exact=True)
-        batched = _run(
-            instance,
-            trace,
-            budget=budget,
-            batch_listeners=True,
-            slo_exact=True,
+        event, event_service = _replay(
+            instance, trace, budget=budget, oracle=True
         )
+        batched, batched_service = _replay(instance, trace, budget=budget)
         assert _comparable(batched) == _comparable(event)
         assert batched.slo == event.slo
+        # The report rounds average_wait; the running total is raw.
+        assert batched_service.slo.total_wait == (
+            event_service.slo.total_wait
+        )
+        assert _without_batch_counter(batched.counters) == (
+            _without_batch_counter(event.counters)
+        )
         assert batched.counters["batched_listeners"] == (
             batched.counters["listeners"]
         )
         assert event.counters["batched_listeners"] == 0
 
     def test_default_accumulation_agrees_within_float_tolerance(self):
-        """Vectorised wait summation may reassociate float adds.
+        """The SLO wait total is one left-to-right fold in both paths.
 
-        The batched path's default (non-exact) SLO accumulation uses
-        ``ndarray.sum`` — pairwise summation — so the mean wait can
-        differ from the sequential left-to-right fold by accumulated
-        rounding only.  Everything integral stays identical.
+        ``observe_batch`` accumulates with ``np.add.accumulate`` seeded
+        by the running total, so the mean wait agrees with the
+        per-listener ``+=`` of the oracle to the last bit, not merely
+        within a float tolerance.
         """
         instance = _initial_instance()
         trace = generate_mutation_trace(
             instance, seed=5, horizon=64, mutations=8, listeners=200
         )
-        event = _run(instance, trace)
-        batched = _run(instance, trace, batch_listeners=True)
+        event, event_service = _replay(instance, trace, oracle=True)
+        batched, batched_service = _replay(instance, trace)
         assert _comparable(batched) == _comparable(event)
-        assert batched.slo["listeners"] == event.slo["listeners"]
-        assert batched.slo["misses"] == event.slo["misses"]
-        assert batched.slo["per_class"] == event.slo["per_class"]
-        assert batched.slo["average_wait"] == pytest.approx(
-            event.slo["average_wait"], abs=1e-9
+        assert batched.slo == event.slo
+        assert batched_service.slo.total_wait == (
+            event_service.slo.total_wait
+        )
+        assert batched_service.slo.average_wait == (
+            event_service.slo.average_wait
         )
 
     def test_batched_replay_is_deterministic(self):
@@ -144,10 +194,63 @@ class TestBatchedListenerReplay:
         trace = generate_mutation_trace(
             instance, seed=9, horizon=48, mutations=6, listeners=90
         )
-        first = _run(instance, trace, batch_listeners=True)
-        second = _run(instance, trace, batch_listeners=True)
+        first = _run(instance, trace)
+        second = _run(instance, trace)
         assert first.event_log == second.event_log
         assert first.program == second.program
+
+
+class TestOnlineReplay:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        case=replay_cases(),
+        window=st.integers(0, 4),
+        taut=st.booleans(),
+    )
+    def test_online_matches_trace_replay(self, case, window, taut):
+        """``offer`` one event at a time == replaying the whole trace.
+
+        Compared against the per-event oracle in full (report and event
+        log), and against batched ``run()`` on every report field but
+        the ``batched_listeners`` counter.
+        """
+        seed, horizon, mutations, listeners = case
+        instance = _initial_instance()
+        trace = generate_mutation_trace(
+            instance,
+            seed=seed,
+            horizon=horizon,
+            mutations=mutations,
+            listeners=listeners,
+        )
+        kwargs = dict(budget=2 if taut else AMPLE_BUDGET,
+                      coalesce_window=window)
+        online = _run_online(instance, trace, **kwargs)
+        oracle = _run(instance, trace, oracle=True, **kwargs)
+        batched = _run(instance, trace, **kwargs)
+        assert online.event_log == oracle.event_log
+        assert online.as_dict() == oracle.as_dict()
+        assert online.program == oracle.program
+        online_block = online.as_dict()
+        batched_block = batched.as_dict()
+        online_block["counters"].pop("batched_listeners")
+        batched_block["counters"].pop("batched_listeners")
+        assert online_block == batched_block
+
+    def test_flush_due_at_an_offered_time_waits_for_it(self):
+        """A flush due at ``t`` runs after the events offered at ``t``."""
+        instance = _initial_instance()
+        trace = generate_mutation_trace(
+            instance, seed=1, horizon=64, mutations=12, listeners=150
+        )
+        online = _run_online(instance, trace, coalesce_window=3)
+        oracle = _run(instance, trace, oracle=True, coalesce_window=3)
+        flushes = [
+            entry for entry in online.event_log
+            if entry["type"] == "coalesce_flush" and entry["t"] == 8.0
+        ]
+        assert [entry["buffered"] for entry in flushes] == [2]
+        assert online.event_log == oracle.event_log
 
 
 def _fold_window(pending, catalog, flush_time):
@@ -586,11 +689,10 @@ class TestServeManifest:
             instance,
             trace,
             budget=AMPLE_BUDGET,
-            batch_listeners=True,
             coalesce_window=2,
         )
         manifest = result.manifest.to_dict()
-        assert manifest["parameters"]["batch_listeners"] is True
+        assert "batch_listeners" not in manifest["parameters"]
         assert manifest["parameters"]["coalesce_window"] == 2
         counters = manifest["service"]["counters"]
         assert counters["batched_listeners"] == counters["listeners"] > 0
@@ -604,7 +706,6 @@ class TestServeSuitePlumbing:
 
         assert SCHEMA == "repro-air/bench-serve/v1"
         assert set(SUITE_ENTRIES) == {
-            "serve_listener_replay",
             "serve_mutation_coalescing",
             "serve_sweep_zerocopy",
         }
@@ -625,7 +726,7 @@ class TestServeSuitePlumbing:
             "quick": True,
             "repeats": 1,
             "benchmarks": {
-                "serve_listener_replay": {
+                "serve_mutation_coalescing": {
                     "config": {},
                     "reference_ms": 10.0,
                     "fast_ms": 1.0,
@@ -652,7 +753,7 @@ class TestServeSuitePlumbing:
                 "quick": quick,
                 "repeats": 1,
                 "benchmarks": {
-                    "serve_listener_replay": {
+                    "serve_mutation_coalescing": {
                         "config": {},
                         "reference_ms": 10.0,
                         "fast_ms": 10.0 / speedup,
@@ -697,9 +798,8 @@ class TestServeSuitePlumbing:
         validate_payload(payload, SCHEMA)
         assert payload["quick"] is False
         assert set(payload["benchmarks"]) == set(SUITE_ENTRIES)
-        replay = payload["benchmarks"]["serve_listener_replay"]
-        assert replay["config"]["listeners"] == 1_000_000
-        assert replay["speedup"] >= 10.0
+        for entry in payload["benchmarks"].values():
+            assert entry["speedup"] >= entry["floor"]
 
 
 class TestServingCli:
@@ -709,8 +809,7 @@ class TestServingCli:
         code = main([
             "live", "--sizes", "2,3,2", "--times", "2,4,8",
             "--budget", "12", "--seed", "3", "--mutations", "6",
-            "--listeners", "30", "--batch-listeners",
-            "--coalesce-window", "2",
+            "--listeners", "30", "--coalesce-window", "2",
         ])
         out = capsys.readouterr().out
         assert code == 0

@@ -68,6 +68,21 @@ class TestRun:
         loop.run()
         assert fired == [1, 10]
 
+    def test_advance_to_stops_short_of_events_due_then(self):
+        loop = EventLoop()
+        fired = []
+        loop.schedule_at(1.0, lambda: fired.append(1))
+        loop.schedule_at(2.0, lambda: fired.append(2))
+        loop.advance_to(2.0)
+        assert fired == [1]
+        assert loop.now == 2.0
+        loop.advance_to(2.0)  # idempotent at the same time
+        assert fired == [1]
+        loop.run(until=2.0)
+        assert fired == [1, 2]
+        with pytest.raises(SimulationError, match="cannot advance"):
+            loop.advance_to(1.5)
+
     def test_run_empty_queue(self):
         loop = EventLoop()
         assert loop.run() == 0.0

@@ -33,7 +33,7 @@ def test_seeded_station_run_matches_golden(tmp_path):
     path = tmp_path / "manifest.json"
     BroadcastEngine().live(
         instance, trace, manifest_path=path,
-        admission=True, baseline=True, batch_listeners=True,
+        admission=True, baseline=True,
     )
     manifest = json.loads(path.read_text(encoding="utf-8"))
     produced = {"service": manifest["service"], "results": manifest["results"]}
