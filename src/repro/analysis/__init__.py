@@ -23,7 +23,6 @@ from repro.analysis.store import (
     diff_records,
 )
 from repro.analysis.sweep import (
-    SCHEDULERS,
     SweepPoint,
     channel_sweep,
     default_channel_points,
@@ -46,7 +45,6 @@ __all__ = [
     "GroupShare",
     "ProgramProfile",
     "ResultStore",
-    "SCHEDULERS",
     "Summary",
     "SweepPoint",
     "Table",

@@ -20,10 +20,10 @@ Both return the same :class:`~repro.core.frequencies.FrequencyAssignment`
 shape as PAMAD, and :func:`schedule_opt` reuses PAMAD's Algorithm-4
 placement, so the three systems differ only in frequency selection.
 
-Both searches accept ``prune=True`` (the default): a branch-and-bound
-that returns the *exact* reference result while visiting a fraction of
-the tree.  The bound exploits that the most relaxed group ``G_h`` has
-``S_h = 1``, so its Equation-2 term
+Both searches are branch-and-bounds that return the *exact* result of
+the exhaustive walk (kept in ``tests/`` as their oracle) while visiting
+a fraction of the tree.  The bound exploits that the most relaxed group
+``G_h`` has ``S_h = 1``, so its Equation-2 term
 
 ``lb(F) = (P_h / F) * max(F/N - t_h, 0) * max((ceil(F/N) - t_h)/2, 0)``
 
@@ -33,16 +33,16 @@ depends only on the total slot count ``F`` — and is non-decreasing in
 monotone factors is monotone).  Every completion of a partial vector
 has ``F >= F_min`` (all remaining multipliers at their minimum of 1),
 so ``lb(F_min)`` under-estimates every leaf in the subtree.  The
-reference only *accepts* a leaf when ``delay < best - 1e-12``; pruning
-when ``lb(F_min)`` (shaved by a relative ``1e-12`` guard, orders of
-magnitude wider than the few-ulp float error of the bound expression)
-reaches ``best - 1e-12`` therefore cannot discard any leaf the
-reference would have accepted, and candidate loops may *break* at the
+exhaustive walk only *accepts* a leaf when ``delay < best - 1e-12``;
+pruning when ``lb(F_min)`` (shaved by a relative ``1e-12`` guard,
+orders of magnitude wider than the few-ulp float error of the bound
+expression) reaches ``best - 1e-12`` therefore cannot discard any leaf
+the walk would have accepted, and candidate loops may *break* at the
 first pruned candidate because ``F_min`` grows with the candidate.
-Leaves that survive are evaluated in reference order through the
+Leaves that survive are evaluated in walk order through the
 bit-identical batch kernel
 :func:`repro.core.delay.paper_group_delay_batch`, so the
-incumbent evolves exactly as in the reference walk — same minimum,
+incumbent evolves exactly as in the exhaustive walk — same minimum,
 same tie-breaks, same returned vector.
 """
 
@@ -103,7 +103,7 @@ def _shave(bound: float) -> float:
     Orders of magnitude wider than the few-ulp (~1e-15 relative)
     disagreement possible between a bound expression and the scalar
     objective's float rounding, so a pruned subtree provably contains no
-    leaf the reference's ``delay < best - 1e-12`` rule would accept.
+    leaf the exhaustive walk's ``delay < best - 1e-12`` rule would accept.
     """
     return bound - bound * 1e-12
 
@@ -120,9 +120,13 @@ def opt_frequencies(
     instance: ProblemInstance,
     num_channels: int,
     max_r: int | None = None,
-    prune: bool = True,
 ) -> FrequencyAssignment:
     """Joint DFS over all staged ``r`` vectors, minimising final delay.
+
+    A branch-and-bound with the memoised Theorem-3.1-flavoured tail
+    bound plus batch leaf evaluation; it returns the *identical*
+    assignment as the exhaustive walk (property tests pin the
+    equality), only faster.
 
     Args:
         instance: The problem instance.
@@ -130,11 +134,6 @@ def opt_frequencies(
         max_r: Optional hard cap on each ``r`` (on top of Algorithm 3's
             bound) to keep worst-case runtime bounded; ``None`` searches
             the full per-stage bound.
-        prune: Branch-and-bound with the memoised Theorem-3.1-flavoured
-            tail bound plus batch leaf evaluation (default).  Returns
-            the *identical* assignment as the exhaustive walk
-            (``prune=False``), only faster; property tests pin the
-            equality.
 
     Returns:
         The delay-minimising :class:`FrequencyAssignment` (ties break
@@ -152,29 +151,6 @@ def opt_frequencies(
     best_r: tuple[int, ...] = ()
     best_delay = math.inf
 
-    def evaluate(r_values: list[int]) -> float:
-        frequencies = frequencies_from_r(r_values, h)
-        return paper_group_delay(
-            frequencies, sizes, times, num_channels
-        )
-
-    def descend(r_values: list[int], stage: int) -> None:
-        nonlocal best_r, best_delay
-        if stage > h:
-            delay = evaluate(r_values)
-            if delay < best_delay - 1e-12:
-                best_delay = delay
-                best_r = tuple(r_values)
-            return
-        bound = r_upper_bound(r_values, stage, sizes, times, num_channels)
-        if max_r is not None:
-            bound = min(bound, max_r)
-        for candidate in range(1, bound + 1):
-            r_values.append(candidate)
-            descend(r_values, stage + 1)
-            r_values.pop()
-
-    # -- pruned walk ---------------------------------------------------
     lb_memo: dict[int, float] = {}
     p_h, t_h = sizes[-1], times[-1]
 
@@ -196,11 +172,11 @@ def opt_frequencies(
         return cached
 
     def flush(rows: list, labels: list) -> None:
-        """Batch-evaluate collected leaves, scanning in reference order.
+        """Batch-evaluate collected leaves, scanning in walk order.
 
         Tiny batches go through the scalar objective directly — below a
         dozen rows the numpy call setup costs more than it saves, and
-        the scalar IS the reference, so bit-identity is trivial.
+        the scalar IS the walk's objective, so bit-identity is trivial.
         """
         nonlocal best_r, best_delay
         if not rows:
@@ -219,7 +195,7 @@ def opt_frequencies(
                 best_delay = float(delay)
                 best_r = label
 
-    def descend_pruned(r_values: list[int], stage: int) -> None:
+    def descend(r_values: list[int], stage: int) -> None:
         nonlocal best_r, best_delay
         bound = r_upper_bound(r_values, stage, sizes, times, num_channels)
         if max_r is not None:
@@ -240,7 +216,7 @@ def opt_frequencies(
             # all surviving final-stage leaves into ONE batch.  The
             # incumbent is only refreshed after the flush — pruning with
             # the slightly stale (never smaller) best is conservative,
-            # so the scan still reproduces the reference walk exactly.
+            # so the scan still reproduces the exhaustive walk exactly.
             rows: list = []
             labels: list = []
             for candidate in range(1, bound + 1):
@@ -267,13 +243,13 @@ def opt_frequencies(
                 # bound at least as high: stop the whole loop.
                 r_values.pop()
                 break
-            descend_pruned(r_values, stage + 1)
+            descend(r_values, stage + 1)
             r_values.pop()
 
     if h == 1:
-        best_r, best_delay = (), evaluate([])
-    elif prune:
-        descend_pruned([], 2)
+        best_delay = paper_group_delay(
+            frequencies_from_r([], h), sizes, times, num_channels
+        )
     else:
         descend([], 2)
 
@@ -292,7 +268,6 @@ def brute_force_frequencies(
     num_channels: int,
     cap: int = 8,
     objective=paper_group_delay,
-    prune: bool = True,
 ) -> FrequencyAssignment:
     """Search *arbitrary* frequency vectors ``S in {1..cap}^h``.
 
@@ -306,11 +281,10 @@ def brute_force_frequencies(
         num_channels: ``N_real``.
         cap: Upper bound per frequency.
         objective: Delay functional ``f(S, P, t, N) -> float``; defaults to
-            the paper-literal Equation (2).
-        prune: Branch-and-bound + batch evaluation returning the exact
-            exhaustive result (default).  The analytic tail bound is
-            specific to Equation (2), so a custom ``objective`` always
-            takes the exhaustive path regardless of this flag.
+            the paper-literal Equation (2), searched by a branch-and-bound
+            that returns the exact exhaustive result.  The analytic tail
+            bound is specific to Equation (2), so a custom ``objective``
+            takes the exhaustive product walk.
 
     Raises:
         SearchSpaceError: If the search space exceeds ~2 million vectors.
@@ -325,7 +299,7 @@ def brute_force_frequencies(
     sizes = instance.group_sizes
     times = instance.expected_times
 
-    if prune and objective is paper_group_delay and h > 1:
+    if objective is paper_group_delay and h > 1:
         return _brute_force_pruned(instance, num_channels, cap)
 
     best: tuple[int, ...] | None = None
@@ -389,10 +363,10 @@ def _brute_force_pruned(
     def walk(prefix: list[int], slots_so_far: int, position: int) -> None:
         nonlocal best, best_delay
         if position == h - 2:
-            # Innermost free position: the reference evaluates candidates
-            # 1..cap in order; one batch reproduces that scan exactly
-            # (scalar below the numpy break-even, same rationale as the
-            # staged search's flush).
+            # Innermost free position: the exhaustive walk evaluates
+            # candidates 1..cap in order; one batch reproduces that scan
+            # exactly (scalar below the numpy break-even, same rationale
+            # as the staged search's flush).
             rows = [(*prefix, c, 1) for c in range(1, cap + 1)]
             if cap < 16:
                 delays = [

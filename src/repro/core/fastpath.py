@@ -1,8 +1,9 @@
 """Fast placement kernels — byte-identical to the reference scans.
 
-The reference implementations of Algorithm 4 (:mod:`repro.core.pamad`)
-and Algorithm 1/2 (:mod:`repro.core.susc`) probe the program grid cell by
-cell through :class:`~repro.core.program.BroadcastProgram` accessors.
+The reference implementations of Algorithm 4 (the oracles in
+``tests/test_fastpath.py``) and Algorithm 1/2 (``_susc_fill`` in
+:mod:`repro.core.susc`) probe the program grid cell by cell through
+:class:`~repro.core.program.BroadcastProgram` accessors.
 That is the right shape for reading the paper, but every probe pays
 bounds checks and method dispatch, and the column/window scans are
 quadratic in practice.  The kernels here compute *exactly the same
@@ -39,8 +40,9 @@ Why the outputs are provably identical:
   0's free window slots in ascending order, then channel 1's, and so
   on.  One ``flatnonzero`` per (run, channel) plus a masked periodic
   write reproduces that exactly; a per-channel first-free cursor (the
-  same monotone cursor as ``schedule_susc(optimized=True)``) decides
-  window eligibility without rescanning.
+  same monotone cursor as the §3.2 probe
+  ``_get_available_slot_cursored``) decides window eligibility without
+  rescanning.
 
 Property tests (:mod:`tests.test_fastpath`) pin the equality: for every
 instance the fast kernels produce grid-identical programs, identical

@@ -20,9 +20,11 @@ silently produce an invalid schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core.bounds import minimum_channels
 from repro.core.errors import InsufficientChannelsError, SchedulingError
+from repro.core.fastpath import susc_fill_fast
 from repro.core.intmath import ceil_div
 from repro.core.pages import Page, ProblemInstance
 from repro.core.program import BroadcastProgram, SlotRef
@@ -130,10 +132,12 @@ def schedule_susc(
     instance: ProblemInstance,
     num_channels: int | None = None,
     validate: bool = True,
-    optimized: bool = False,
-    fast: bool = True,
 ) -> SuscSchedule:
     """Run SUSC and return a valid broadcast program.
+
+    The fill runs on the raw-array kernel of :mod:`repro.core.fastpath`,
+    which property tests pin to the literal Algorithm-1 fill
+    (:func:`_susc_fill`) under both GetAvailableSlot probes.
 
     Args:
         instance: The groups to schedule (geometric expected-time ladder).
@@ -142,13 +146,6 @@ def schedule_susc(
             PAMAD for that regime), passing more simply leaves extra slack.
         validate: Re-check the two Section-3.1 conditions on the finished
             program (cheap; on by default as a safety net).
-        optimized: Use the paper's §3.2 cursor optimisation for
-            GetAvailableSlot.  Produces the *identical* program (property
-            tests pin this); only the search cost changes.
-        fast: Run the whole fill on the raw-array kernel of
-            :mod:`repro.core.fastpath` (default) — again identical output,
-            again pinned by property tests.  ``fast=False`` selects
-            between the two literal reference probes via ``optimized``.
 
     Returns:
         A :class:`SuscSchedule` whose program satisfies every expected time.
@@ -166,31 +163,37 @@ def schedule_susc(
             provided=num_channels, required=required
         )
 
-    if fast:
-        from repro.core.fastpath import susc_fill_fast
+    program, first_slots = susc_fill_fast(instance, num_channels)
+    if validate:
+        assert_valid_program(program, instance)
+    return SuscSchedule(
+        program=program,
+        instance=instance,
+        num_channels=num_channels,
+        first_slots=first_slots,
+    )
 
-        fast_program, fast_first = susc_fill_fast(instance, num_channels)
-        if validate:
-            assert_valid_program(fast_program, instance)
-        return SuscSchedule(
-            program=fast_program,
-            instance=instance,
-            num_channels=num_channels,
-            first_slots=fast_first,
-        )
 
+def _susc_fill(
+    instance: ProblemInstance,
+    num_channels: int,
+    probe: Callable[[BroadcastProgram, Page], SlotRef],
+) -> tuple[BroadcastProgram, dict[int, SlotRef]]:
+    """The literal Algorithm-1 fill, one cell at a time.
+
+    ``probe`` is the GetAvailableSlot variant: :func:`_get_available_slot`
+    (the naive scan) or :func:`_get_available_slot_cursored` with a fresh
+    ``cursors`` list bound (the §3.2 optimisation).  Both yield the same
+    program; ABL4 times the two, and the tests hold
+    :func:`~repro.core.fastpath.susc_fill_fast` to this fill.
+    """
     cycle = instance.max_expected_time
     program = BroadcastProgram(
         num_channels=num_channels, cycle_length=cycle
     )
     first_slots: dict[int, SlotRef] = {}
-    cursors = [0] * num_channels
-
     for page in instance.pages_sorted_for_susc():
-        if optimized:
-            start = _get_available_slot_cursored(program, page, cursors)
-        else:
-            start = _get_available_slot(program, page)
+        start = probe(program, page)
         first_slots[page.page_id] = start
         repetitions = ceil_div(cycle, page.expected_time)  # ceil(t_h / t_i)
         for k in range(repetitions):
@@ -204,13 +207,4 @@ def schedule_susc(
                     "already occupied"
                 )
             program.assign(start.channel, slot, page.page_id)
-
-    if validate:
-        assert_valid_program(program, instance)
-
-    return SuscSchedule(
-        program=program,
-        instance=instance,
-        num_channels=num_channels,
-        first_slots=first_slots,
-    )
+    return program, first_slots

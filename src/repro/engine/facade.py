@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -75,28 +74,6 @@ __all__ = [
     "SweepResult",
     "default_engine",
 ]
-
-
-# Renamed keyword arguments (the PR-6 keyword unification: every
-# engine workflow takes ``trace=``, ``policy=`` and ``manifest_path=``).
-# Each legacy alias warns once per process, not once per call, so a
-# tight loop over an old call site stays readable.
-_WARNED_ALIASES: set[str] = set()
-_ALIAS_LOCK = threading.Lock()
-
-
-def _warn_alias(method: str, old: str, new: str) -> None:
-    key = f"{method}:{old}"
-    with _ALIAS_LOCK:
-        if key in _WARNED_ALIASES:
-            return
-        _WARNED_ALIASES.add(key)
-    warnings.warn(
-        f"BroadcastEngine.{method}({old}=...) is deprecated; "
-        f"pass {new}= instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def _write_manifest_path(
@@ -518,7 +495,6 @@ class BroadcastEngine:
         executor: str | None = None,
         policy: ExecutionPolicy | None = None,
         manifest_path: str | Path | None = None,
-        execution: ExecutionPolicy | None = None,
     ) -> SweepResult:
         """Measure AvgD over a (scheduler × channel-count) grid.
 
@@ -541,16 +517,11 @@ class BroadcastEngine:
                 engine's ``execution`` attribute).
             manifest_path: When set, also write this call's manifest
                 JSON to the path.
-            execution: Deprecated alias for ``policy`` (warns once).
 
         Returns:
             A :class:`SweepResult` with points ordered by
             (channel count, algorithm order) and the run manifest.
         """
-        if execution is not None:
-            _warn_alias("sweep", "execution", "policy")
-            if policy is None:
-                policy = execution
         if channel_points is None:
             channel_points = default_channel_points(
                 minimum_channels(instance)
@@ -650,7 +621,6 @@ class BroadcastEngine:
         num_listeners: int = 400,
         seed: int = 0,
         manifest_path: str | Path | None = None,
-        plan=None,
     ) -> ResilienceResult:
         """Replay a fault plan under recovery policies (manifested).
 
@@ -665,7 +635,6 @@ class BroadcastEngine:
             seed: Base RNG seed for the listener streams.
             manifest_path: When set, also write this call's manifest
                 JSON to the path.
-            plan: Deprecated keyword alias for ``trace`` (warns once).
 
         Returns:
             A :class:`ResilienceResult`; its manifest (operation
@@ -678,19 +647,10 @@ class BroadcastEngine:
             replay_plan,
         )
 
-        if plan is not None:
-            if trace is not None:
-                raise ReproError(
-                    "pass the fault timeline as trace= only; plan= is "
-                    "its deprecated alias"
-                )
-            _warn_alias("resilience", "plan", "trace")
-            trace = plan
         if trace is None:
             raise ReproError(
                 "resilience() needs a fault timeline: pass trace="
             )
-        plan = trace
 
         if policies is None:
             chosen = default_policies()
@@ -707,7 +667,7 @@ class BroadcastEngine:
                 outcomes.append(
                     replay_plan(
                         instance,
-                        plan,
+                        trace,
                         policy,
                         num_listeners=num_listeners,
                         seed=seed,
@@ -723,15 +683,15 @@ class BroadcastEngine:
                 "num_listeners": num_listeners,
                 "seed": seed,
                 "plan": {
-                    "fingerprint": plan.fingerprint(),
-                    "num_channels": plan.num_channels,
-                    "horizon": plan.horizon,
-                    "events": len(plan.events),
-                    "meta": dict(plan.meta),
+                    "fingerprint": trace.fingerprint(),
+                    "num_channels": trace.num_channels,
+                    "horizon": trace.horizon,
+                    "events": len(trace.events),
+                    "meta": dict(trace.meta),
                 },
             },
             schedulers=(),
-            channels=(plan.num_channels,),
+            channels=(trace.num_channels,),
             executor=_serial_executor_block(),
             cache_before=cache_before,
             telemetry_before=telemetry_before,
@@ -741,7 +701,7 @@ class BroadcastEngine:
         )
         _write_manifest_path(manifest, manifest_path)
         return ResilienceResult(
-            plan=plan, outcomes=tuple(outcomes), manifest=manifest
+            plan=trace, outcomes=tuple(outcomes), manifest=manifest
         )
 
     def control_manifest(

@@ -151,9 +151,35 @@ class TestExtensionsFast:
         row = table.rows[0]
         assert row[2] >= row[1]  # pix hit >= lru hit
 
-    def test_abl4_getslot(self):
+    def test_abl4_getslot(self, monkeypatch):
+        # ABL4 compares the two GetAvailableSlot probes, so each must
+        # actually run; timing the production kernel twice would show a
+        # speedup of ~1 and prove nothing about the paper's 3.2 note.
+        from repro.core import susc
+
+        calls = {"naive": 0, "cursored": 0}
+
+        def counted(name, probe):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return probe(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            susc,
+            "_get_available_slot",
+            counted("naive", susc._get_available_slot),
+        )
+        monkeypatch.setattr(
+            susc,
+            "_get_available_slot_cursored",
+            counted("cursored", susc._get_available_slot_cursored),
+        )
         (table,) = run_experiment("ABL4")
         assert all(row[-1] for row in table.rows)  # identical programs
+        pages = sum(row[0] for row in table.rows)
+        assert calls == {"naive": pages, "cursored": pages}
 
     def test_abl5_online(self):
         (table,) = run_experiment("ABL5", channels=(5,))

@@ -7,26 +7,26 @@ import math
 import pytest
 
 from repro.analysis.sweep import (
-    SCHEDULERS,
     channel_sweep,
     default_channel_points,
     get_scheduler,
     sweep_table,
 )
 from repro.core.errors import ReproError
+from repro.engine.registry import default_registry
 
 
 class TestSchedulerRegistry:
     def test_known_names(self):
-        assert set(SCHEDULERS) == {
+        assert set(default_registry().names()) == {
             "pamad", "m-pb", "opt", "flat", "disks", "online", "susc",
         }
 
     def test_lookup_case_insensitive(self):
-        assert get_scheduler("PAMAD") is SCHEDULERS["pamad"]
+        assert get_scheduler("PAMAD") is default_registry().get("pamad")
 
     def test_mpb_alias(self):
-        assert get_scheduler("mpb") is SCHEDULERS["m-pb"]
+        assert get_scheduler("mpb") is default_registry().get("m-pb")
 
     def test_unknown_name(self):
         with pytest.raises(ReproError, match="unknown scheduler"):
@@ -39,7 +39,8 @@ class TestSchedulerRegistry:
         assert listed == sorted(listed)
 
     def test_registry_view_is_sorted(self):
-        assert list(SCHEDULERS) == sorted(SCHEDULERS)
+        names = default_registry().names()
+        assert list(names) == sorted(names)
 
 
 class TestDefaultChannelPoints:

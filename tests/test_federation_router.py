@@ -148,6 +148,12 @@ class TestRouterEquivalence:
         threshold=st.sampled_from((0.0, 1.1, 1.5, 2.0)),
         budget_slack=st.integers(0, 2),
         queue_limit=st.integers(1, 8),
+        orphans=st.lists(
+            st.tuples(
+                st.integers(0, 95), st.sampled_from((4, 8, 16, 32))
+            ),
+            max_size=8,
+        ),
     )
     def test_property_routers_byte_identical(
         self,
@@ -159,14 +165,31 @@ class TestRouterEquivalence:
         threshold,
         budget_slack,
         queue_limit,
+        orphans,
     ):
         instance = _instance()
-        trace = _trace(
+        base = _trace(
             instance,
             listeners=listeners,
             mutations=mutations,
             horizon=horizon,
             seed=seed,
+        )
+        # The generator only emits listeners for live pages; append
+        # listeners for pages that are never inserted, so the property
+        # also covers the orphan fallback.
+        trace = MutationTrace(
+            horizon=base.horizon,
+            events=base.events
+            + tuple(
+                MutationEvent(
+                    time=float(time % horizon),
+                    kind="listener",
+                    page_id=9_000 + index,
+                    expected_time=expected,
+                )
+                for index, (time, expected) in enumerate(orphans)
+            ),
         )
 
         def build(router):

@@ -340,3 +340,32 @@ class TestEngineFacade:
         assert results["listeners"] == result.report.listeners
         assert results["pages_moved"] == result.report.pages_moved
         assert results["final_valid"] == result.report.final_valid
+
+
+class TestShardScaling:
+    def test_sharding_cuts_full_replans(self):
+        """Each admitted mutation re-plans one ~K/N-page shard instead
+        of the whole catalog, so every sharded run needs fewer full
+        re-plans than one station holding everything.  The warm shard
+        pool is off so the count is cold re-planning only."""
+        instance = instance_from_counts(
+            (10,) * 8, (4, 8, 16, 32, 64, 128, 256, 512)
+        )
+        trace = generate_mutation_trace(
+            instance, seed=11, horizon=128, mutations=60, listeners=800
+        )
+        full_replans = {}
+        for shards in (1, 2, 4, 8):
+            report = FederatedBroadcastService(
+                instance,
+                trace,
+                shards=shards,
+                budget=None,
+                seed=0,
+                rebalance_threshold=1.5,
+                max_pages_moved=4,
+                warm_shard_pool=False,
+            ).run()
+            full_replans[shards] = report.counters["full_replans"]
+        for shards in (2, 4, 8):
+            assert full_replans[shards] < full_replans[1], full_replans

@@ -7,12 +7,14 @@ paper's examples.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.mpb import schedule_mpb
+from repro.core import susc
 from repro.core.bounds import channel_load, minimum_channels
 from repro.core.delay import (
     page_average_delay,
@@ -131,13 +133,21 @@ class TestSuscProperties:
     @settings(max_examples=60, deadline=None)
     def test_cursor_optimisation_is_equivalent(self, instance):
         """The paper's 3.2 search optimisation must not change the
-        program, only the search cost.  Both sides pin ``fast=False`` so
-        this stays a comparison of the two *reference* probes (the fast
-        array kernel has its own equality suite in test_fastpath)."""
-        naive = schedule_susc(instance, fast=False)
-        optimized = schedule_susc(instance, optimized=True, fast=False)
-        assert naive.program == optimized.program
-        assert naive.first_slots == optimized.first_slots
+        program, only the search cost.  Both sides run the literal fill,
+        so this compares the two probes (the fast array kernel has its
+        own equality suite in test_fastpath)."""
+        channels = minimum_channels(instance)
+        naive = susc._susc_fill(
+            instance, channels, susc._get_available_slot
+        )
+        optimized = susc._susc_fill(
+            instance,
+            channels,
+            functools.partial(
+                susc._get_available_slot_cursored, cursors=[0] * channels
+            ),
+        )
+        assert naive == optimized
 
 
 # ----------------------------------------------------------------------

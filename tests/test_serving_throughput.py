@@ -20,6 +20,10 @@ Three fast paths, each pinned to its reference semantics:
   backend agrees with the scalar reference statistically (different RNG
   streams, same request model), and an open circuit short-circuits
   cells that were never submitted.
+
+What coalescing and chunked shm transport save is pinned as
+deterministic counts (:class:`TestServeWorkCounts`): repairs avoided
+on retune storms and pool submissions per sweep.
 """
 
 from __future__ import annotations
@@ -700,106 +704,106 @@ class TestServeManifest:
         assert counters["replans_avoided"] >= 0
 
 
-class TestServeSuitePlumbing:
-    def test_suite_entries_carry_positive_floors(self):
-        from repro.analysis.servesuite import SCHEMA, SUITE_ENTRIES
+def _storm_trace(instance, bursts, storm):
+    """Retune storms: ``storm`` same-page retunes per burst.
 
-        assert SCHEMA == "repro-air/bench-serve/v1"
-        assert set(SUITE_ENTRIES) == {
-            "serve_mutation_coalescing",
-            "serve_sweep_zerocopy",
-        }
-        for floor, builder in SUITE_ENTRIES.values():
-            assert floor > 1.0
-            assert callable(builder)
-
-    def test_validate_payload_is_schema_parameterised(self):
-        from repro.analysis.perfsuite import (
-            SCHEMA as CORE_SCHEMA,
-            validate_payload,
+    Deadlines alternate within the burst, so every raw event changes
+    catalog state, yet the net of most bursts is a no-op (the final
+    deadline equals the initial one): the churn shape the coalescing
+    window exists to absorb.
+    """
+    page_ids = sorted(
+        page.page_id for group in instance.groups for page in group.pages
+    )
+    events = []
+    t = 2
+    for burst in range(bursts):
+        page = page_ids[burst % len(page_ids)]
+        for j in range(storm):
+            events.append(
+                MutationEvent(
+                    time=float(t + j),
+                    kind="page_retune",
+                    page_id=page,
+                    expected_time=4 if j % 2 == 0 else 8,
+                )
+            )
+        events.append(
+            MutationEvent(
+                time=t + storm + 0.5,
+                kind="listener",
+                page_id=page,
+                expected_time=8,
+            )
         )
-        from repro.analysis.servesuite import SCHEMA as SERVE_SCHEMA
+        t += storm + 12
+    return MutationTrace(
+        horizon=t + 32, events=tuple(events), meta={"generator": "storm"}
+    )
 
-        payload = {
-            "schema": SERVE_SCHEMA,
-            "version": "0",
-            "quick": True,
-            "repeats": 1,
-            "benchmarks": {
-                "serve_mutation_coalescing": {
-                    "config": {},
-                    "reference_ms": 10.0,
-                    "fast_ms": 1.0,
-                    "speedup": 10.0,
-                    "floor": 5.0,
-                    "stats": {"listeners_per_second_fast": 1},
-                },
-            },
-        }
-        validate_payload(payload, SERVE_SCHEMA)
-        with pytest.raises(SimulationError, match="unexpected schema"):
-            validate_payload(payload, CORE_SCHEMA)
-        with pytest.raises(SimulationError, match="unexpected schema"):
-            validate_payload(dict(payload, schema=CORE_SCHEMA), SERVE_SCHEMA)
 
-    def test_compare_payloads_gates_serve_floors(self):
-        from repro.analysis.perfsuite import compare_payloads
-        from repro.analysis.servesuite import SCHEMA as SERVE_SCHEMA
+class TestServeWorkCounts:
+    """Deterministic counts for what the serving fast paths save."""
 
-        def payload(speedup, quick):
-            return {
-                "schema": SERVE_SCHEMA,
-                "version": "0",
-                "quick": quick,
-                "repeats": 1,
-                "benchmarks": {
-                    "serve_mutation_coalescing": {
-                        "config": {},
-                        "reference_ms": 10.0,
-                        "fast_ms": 10.0 / speedup,
-                        "speedup": speedup,
-                        "floor": 5.0,
-                        "stats": {},
-                    },
-                },
-            }
+    def test_coalescing_folds_retune_storms(self):
+        instance = _initial_instance()
+        trace = _storm_trace(instance, bursts=60, storm=6)
 
-        baseline = payload(20.0, quick=False)
-        assert compare_payloads(
-            payload(12.0, quick=True), baseline, schema=SERVE_SCHEMA
-        ) == []
-        failures = compare_payloads(
-            payload(3.0, quick=True), baseline, schema=SERVE_SCHEMA
-        )
-        assert failures and "below the 5.0x floor" in failures[0]
-        same_mode = compare_payloads(
-            payload(12.0, quick=False), baseline, schema=SERVE_SCHEMA
-        )
-        assert any("regressed" in failure for failure in same_mode)
+        def counters(window):
+            return LiveBroadcastService(
+                instance, trace, budget=12, coalesce_window=window
+            ).run().counters
 
-    def test_unknown_suite_is_rejected(self):
-        from repro.analysis.perfsuite import _resolve_suite
+        raw, coalesced = counters(0), counters(6)
+        assert raw["incremental_repairs"] == 360  # one per retune
+        assert raw.get("replans_avoided", 0) == 0
+        assert coalesced["incremental_repairs"] == 5
+        assert coalesced["replans_avoided"] == 355
 
-        with pytest.raises(SimulationError, match="unknown bench suite"):
-            _resolve_suite("bogus")
+    def test_chunked_shm_sweep_cuts_pool_submissions(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
 
-    def test_committed_serve_baseline_is_a_valid_full_run(self):
-        import json
-        import pathlib
+        instance = instance_from_counts((80, 80, 80, 80), (4, 8, 16, 32))
+        scheduler = get_scheduler("pamad")
+        specs = [
+            CellSpec(
+                algorithm="pamad",
+                scheduler=scheduler,
+                channels=2 + (i % 7),
+                instance=instance,
+                num_requests=60,
+                seed=9_000 + i,
+            )
+            for i in range(48)
+        ]
+        submissions = []
+        submit = ProcessPoolExecutor.submit
 
-        from repro.analysis.perfsuite import validate_payload
-        from repro.analysis.servesuite import SCHEMA, SUITE_ENTRIES
+        def counted(pool, *args, **kwargs):
+            submissions.append(args[0])
+            return submit(pool, *args, **kwargs)
 
-        path = (
-            pathlib.Path(__file__).parent.parent
-            / "benchmarks" / "results" / "BENCH_serve.json"
-        )
-        payload = json.loads(path.read_text())
-        validate_payload(payload, SCHEMA)
-        assert payload["quick"] is False
-        assert set(payload["benchmarks"]) == set(SUITE_ENTRIES)
-        for entry in payload["benchmarks"].values():
-            assert entry["speedup"] >= entry["floor"]
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", counted)
+
+        def sweep(chunk_size, transport):
+            submissions.clear()
+            outcomes, report = run_cells(
+                specs,
+                workers=2,
+                mode="process",
+                policy=ExecutionPolicy(
+                    chunk_size=chunk_size, transport=transport
+                ),
+            )
+            assert report.fallback is False
+            assert all(isinstance(o, CellResult) for o in outcomes)
+            return len(submissions), report
+
+        per_cell, _ = sweep(1, "pickle")
+        chunked, report = sweep(8, "shm")
+        assert per_cell == 48
+        assert chunked == 6
+        assert report.transport == "shm"
 
 
 class TestServingCli:
